@@ -73,10 +73,13 @@ def _default_seed(value):
 
 def _parse_scalar(token: str):
     token = token.strip()
-    if ":" in token:
-        re_part, im_part = token.split(":", 1)
-        return complex(float(re_part), float(im_part))
-    return float(token)
+    try:
+        if ":" in token:
+            re_part, im_part = token.split(":", 1)
+            return complex(float(re_part), float(im_part))
+        return float(token)
+    except ValueError:
+        raise FrameError(f"not a number: {token!r}") from None
 
 
 def _parse_inline_vector(text: str) -> np.ndarray:
@@ -280,7 +283,7 @@ def _solution_obj(frame, solution, mode: str) -> dict:
         "coefficients": None,
     }
     if solution.coefficients is not None:
-        out["coefficients"] = sparse._encode_values(solution.coefficients.values, frame.field)
+        out["coefficients"] = frame_io.vector_to_obj(solution.coefficients.values, frame.field)
     return out
 
 

@@ -32,14 +32,27 @@ def _encode_scalar(value, field: str):
     return float(np.real(value))
 
 
+def _decode_number(obj, what: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise FrameError(f"{what} must be a plain number")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise FrameError(f"{what} is out of range") from None
+
+
 def _decode_scalar(obj, field: str):
     if field == COMPLEX:
         if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
             raise FrameError("complex scalars must be [re, im] pairs")
         return complex(float(obj[0]), float(obj[1]))
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise FrameError("real scalars must be plain numbers")
-    return float(obj)
+    return _decode_number(obj, "a real scalar")
+
+
+def _decode_row(obj, field: str, what: str) -> list:
+    if not isinstance(obj, list):
+        raise FrameError(f"{what} must hold a JSON array")
+    return [_decode_scalar(s, field) for s in obj]
 
 
 def frame_to_obj(frame: PSchauderFrame) -> dict:
@@ -70,7 +83,7 @@ def frame_from_obj(obj) -> PSchauderFrame:
     if field not in (REAL, COMPLEX):
         raise FrameError(f"unknown field {field!r}")
     dim = obj["dimension"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise FrameError("dimension must be a positive integer")
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
@@ -80,9 +93,9 @@ def frame_from_obj(obj) -> PSchauderFrame:
         if not isinstance(atom, dict):
             raise FrameError(f"atom {k} must be an object")
         try:
-            weights.append(float(atom["weight"]))
-            fun = [_decode_scalar(s, field) for s in atom["functional"]]
-            vec = [_decode_scalar(s, field) for s in atom["vector"]]
+            weights.append(_decode_number(atom["weight"], f"atom {k} weight"))
+            fun = _decode_row(atom["functional"], field, f"atom {k} functional")
+            vec = _decode_row(atom["vector"], field, f"atom {k} vector")
         except KeyError as exc:
             raise FrameError(f"atom {k} missing {exc}") from None
         if len(fun) != dim or len(vec) != dim:
@@ -92,7 +105,7 @@ def frame_from_obj(obj) -> PSchauderFrame:
     dtype = np.complex128 if field == COMPLEX else np.float64
     return PSchauderFrame(
         space=MeasureSpace(np.array(weights)),
-        p=float(obj["p"]),
+        p=_decode_number(obj["p"], "p"),
         functionals=np.array(functionals, dtype=dtype),
         vectors=np.array(vectors, dtype=dtype),
         field=field,
@@ -125,8 +138,6 @@ def vector_to_obj(x: np.ndarray, field: str) -> list:
 
 
 def vector_from_obj(obj, field: str) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise FrameError("vector file must hold a JSON array")
-    values = [_decode_scalar(s, field) for s in obj]
+    values = _decode_row(obj, field, "vector file")
     dtype = np.complex128 if field == COMPLEX else np.float64
     return np.array(values, dtype=dtype)

@@ -8,7 +8,11 @@ reproduces h within the problem's residual tolerance.
 
 ``l0_brute_force`` minimizes the number of active atoms; the companion
 ``measure_min_brute_force`` minimizes the total weight of the active atoms,
-which coincides with the count under counting measure.  ``conjecture_probe``
+which coincides with the count under counting measure.  Both run one search
+over levels of equal objective; the weight levels come from a plan over the
+frame's classes of equal atom weight, so no table of all 2^n supports is
+built.  Fits are screened in batches, and the exact per-support
+least-squares fit makes every decision.  ``conjecture_probe``
 plants random low-weight supports and reports, never asserts, whether
 weight minimization recovers them uniquely.
 """
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_io import frame_digest, frame_to_obj
+from .frame_io import frame_digest, frame_to_obj, vector_to_obj
 from .frames import (
     COMPLEX,
     CoefficientFunction,
@@ -33,6 +37,11 @@ from .frames import (
 
 # Largest number of candidate supports a solver call may enumerate.
 ENUMERATION_GUARD = 10_000_000
+
+# Supports screened by one stacked QR call: at most this many, and at most
+# _SCREEN_ENTRIES entries in the stacked matrices.
+_SCREEN_CHUNK = 256
+_SCREEN_ENTRIES = 1 << 20
 
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
@@ -170,6 +179,96 @@ def _infeasible() -> SparseSolution:
     )
 
 
+def _weight_plan(weights: np.ndarray):
+    """Every support's (total weight, cardinality), grouped and sorted.
+
+    Atoms of one exact weight form a class.  A support's weight depends only
+    on how many atoms it takes from each class, and ``math.fsum`` is correctly
+    rounded, so one ``fsum`` per count vector equals, bit for bit, the
+    ``fsum`` over any support with those counts.  Returns the class members
+    and the sorted list of ``(weight, cardinality, [count vectors])``.
+    """
+    classes: dict[float, list[int]] = {}
+    for i, w in enumerate(weights.tolist()):
+        classes.setdefault(w, []).append(i)
+    members = list(classes.values())
+    # the summands of every count vector, in itertools.product order
+    terms = [()]
+    for v, m in zip(classes, members):
+        terms = [t + (v,) * c for t in terms for c in range(len(m) + 1)]
+    counts = itertools.product(*(range(len(m) + 1) for m in members))
+    groups: dict[tuple[float, int], list[tuple[int, ...]]] = {}
+    for cv, t in zip(counts, terms):
+        groups.setdefault((math.fsum(t), len(t)), []).append(cv)
+    # flat (float-first) tuples sort fastest; (weight, card) never ties
+    return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
+
+
+def _expand(members: list[list[int]], count_vectors) -> list[tuple[int, ...]]:
+    """The supports taking ``counts[j]`` atoms from class j, for any of the
+    given count vectors, in lexicographic order."""
+    supports = [
+        tuple(sorted(itertools.chain.from_iterable(parts)))
+        for counts in count_vectors
+        for parts in itertools.product(
+            *(itertools.combinations(m, c) for m, c in zip(members, counts) if c)
+        )
+    ]
+    supports.sort()
+    return supports
+
+
+def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
+    """The supports (all of one cardinality) whose fit may reach the tolerance.
+
+    A stacked QR projects the target onto span(Q), which contains the
+    support's column space, so the projection residual is a lower bound on
+    the least-squares residual; a support is dropped only when that bound
+    exceeds ``bar``, well above the tolerance.
+    """
+    k = len(supports[0])
+    if len(supports) < 2 or k == 0 or k >= cols.shape[0]:
+        # one support screens at about the cost of fitting it; with k >= d,
+        # Q spans the whole space and nothing could be dropped
+        return supports
+    q, _ = np.linalg.qr(cols.T[np.array(supports)].transpose(0, 2, 1))
+    coeff = q.conj().transpose(0, 2, 1) @ target
+    residual = np.linalg.norm(target - (q @ coeff[..., None])[..., 0], axis=1)
+    return [s for s, r in zip(supports, residual.tolist()) if not r > bar]
+
+
+def _walk(problem: SparseProblem, levels) -> SparseSolution:
+    """Shared exhaustive search of both solvers.
+
+    ``levels`` yields ``(objective, supports)`` in visiting order, the
+    supports of one level sharing a cardinality.  The search stops after the
+    last level of the first objective value that has a fit; ``unique`` is
+    true when no second support of that value also fits.  Supports are
+    screened in chunks and every survivor is decided, in order, by the exact
+    ``_restricted_fit``.
+    """
+    frame, target = problem.frame, problem.target
+    tol = problem.resolved_tolerance()
+    bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))
+    cols = _synthesis_columns(frame)
+    chunk_size = max(2, min(_SCREEN_CHUNK, _SCREEN_ENTRIES // cols.size))  # d * k <= cols.size
+    first = best = None
+    for objective, supports in levels:
+        if first is not None and objective != best:
+            break
+        stream = iter(supports)
+        while chunk := list(itertools.islice(stream, chunk_size)):
+            for support in _screen(cols, target, chunk, bar):
+                coeff, residual = _restricted_fit(cols, support, target)
+                if residual <= tol:
+                    if first is not None:
+                        return _padded_solution(frame, *first, unique=False)
+                    first, best = (support, coeff, residual), objective
+    if first is None:
+        return _infeasible()
+    return _padded_solution(frame, *first, unique=True)
+
+
 def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> SparseSolution:
     """Minimize the number of active atoms by exhaustive support search.
 
@@ -177,8 +276,7 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
     cardinality, so the returned solution is deterministic.  ``unique`` is
     true when no other support of the same cardinality also fits.
     """
-    frame = problem.frame
-    n = frame.n_atoms
+    n = problem.frame.n_atoms
     cap = n if max_card is None else int(max_card)
     if not 0 <= cap <= n:
         raise FrameError("max_card must lie in 0..n_atoms")
@@ -187,23 +285,7 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
         raise ResourceGuardError(
             f"{total} candidate supports exceed the guard of {ENUMERATION_GUARD}"
         )
-    tol = problem.resolved_tolerance()
-    cols = _synthesis_columns(frame)
-    for card in range(cap + 1):
-        first = None
-        unique = True
-        for support in itertools.combinations(range(n), card):
-            coeff, residual = _restricted_fit(cols, support, problem.target)
-            if residual <= tol:
-                if first is None:
-                    first = (support, coeff, residual)
-                else:
-                    unique = False
-                    break
-        if first is not None:
-            support, coeff, residual = first
-            return _padded_solution(frame, support, coeff, residual, unique)
-    return _infeasible()
+    return _walk(problem, ((k, itertools.combinations(range(n), k)) for k in range(cap + 1)))
 
 
 def measure_min_brute_force(problem: SparseProblem) -> SparseSolution:
@@ -214,37 +296,13 @@ def measure_min_brute_force(problem: SparseProblem) -> SparseSolution:
     distinct support of exactly equal weight also fits.  Reduces to
     ``l0_brute_force`` under counting measure.
     """
-    frame = problem.frame
-    n = frame.n_atoms
+    n = problem.frame.n_atoms
     if 2**n > ENUMERATION_GUARD:
         raise ResourceGuardError(
             f"2^{n} candidate supports exceed the guard of {ENUMERATION_GUARD}"
         )
-    tol = problem.resolved_tolerance()
-    cols = _synthesis_columns(frame)
-    w = frame.space.weights
-    supports = [
-        (math.fsum(w[list(s)]), len(s), s)
-        for k in range(n + 1)
-        for s in itertools.combinations(range(n), k)
-    ]
-    supports.sort()
-    first = None
-    unique = True
-    for weight, _, support in supports:
-        if first is not None and weight != first[3]:
-            break
-        coeff, residual = _restricted_fit(cols, support, problem.target)
-        if residual <= tol:
-            if first is None:
-                first = (support, coeff, residual, weight)
-            else:
-                unique = False
-                break
-    if first is not None:
-        support, coeff, residual, _ = first
-        return _padded_solution(frame, support, coeff, residual, unique)
-    return _infeasible()
+    members, plan = _weight_plan(problem.frame.space.weights)
+    return _walk(problem, ((weight, _expand(members, cvs)) for weight, _, cvs in plan))
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,10 +363,12 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     return best
 
 
-def _encode_values(values: np.ndarray, field: str) -> list:
-    if field == COMPLEX:
-        return [[float(z.real), float(z.imag)] for z in values]
-    return [float(np.real(z)) for z in values]
+def _light_supports(weights: np.ndarray, threshold: float) -> list[tuple[int, ...]]:
+    """Nonempty supports of total weight below ``threshold``, by cardinality
+    then lexicographic order."""
+    members, plan = _weight_plan(weights)
+    light = [s for weight, card, cvs in plan if card and weight < threshold for s in _expand(members, cvs)]
+    return sorted(light, key=lambda s: (len(s), s))
 
 
 def _json_number(value: float):
@@ -345,12 +405,7 @@ def conjecture_probe(
     thr_all = uniqueness_threshold(coh_all)
     thr_distinct = uniqueness_threshold(coh_distinct)
     w = frame.space.weights
-    feasible = [
-        s
-        for k in range(1, n + 1)
-        for s in itertools.combinations(range(n), k)
-        if math.fsum(w[list(s)]) < thr_all
-    ]
+    feasible = _light_supports(w, thr_all)
     report = {
         "schema_version": 1,
         "kind": "measure-minimization-probe",
@@ -401,7 +456,7 @@ def conjecture_probe(
         record = {
             "trial": t,
             "planted_support": list(support),
-            "planted_coefficients": _encode_values(values, frame.field),
+            "planted_coefficients": vector_to_obj(values, frame.field),
             "planted_weight": weight,
             "hypothesis_distinct_vectors": bool(weight < thr_distinct),
             "recovered_support": list(solution.support),

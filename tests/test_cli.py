@@ -194,6 +194,16 @@ def test_check_complex_inline_tokens(dft_files, capsys):
     assert json.loads(out)["holds1"]
 
 
+@pytest.mark.parametrize("text", ["a,1,0,0", "1,0,0:b,1"])
+def test_check_rejects_non_numeric_inline_vector(dft_files, capsys, text):
+    code, out, err = run_cli(
+        "check", "--frame-f", dft_files[0], "--frame-g", dft_files[1], "--x", text, capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not a number" in err
+
+
 # ------------------------------------------------------------- extremal
 
 
@@ -297,6 +307,17 @@ def test_sparse_infeasible_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(out)["status"] == "infeasible"
+
+
+def test_sparse_rejects_non_numeric_inline_target(tmp_path, capsys):
+    from framelab import canonical_lp
+
+    path = tmp_path / "c.json"
+    save_frame(canonical_lp(2, 2.0), path)
+    code, out, err = run_cli("sparse", "--frame", str(path), "--target", "a,1", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "not a number" in err
 
 
 # ---------------------------------------------------------------- probe

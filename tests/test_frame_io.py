@@ -51,6 +51,14 @@ def test_digest_stable_across_copies():
         lambda o: o.update(atoms=[]),
         lambda o: o["atoms"][0].update(weight=-1.0),
         lambda o: o["atoms"][0].update(functional=[1.0]),
+        lambda o: o["atoms"][0].update(weight=None),
+        lambda o: o["atoms"][0].update(weight="1.0"),
+        lambda o: o["atoms"][0].update(weight=True),
+        lambda o: o["atoms"][0].update(weight=10**400),
+        lambda o: o["atoms"][0].update(functional=1.0),
+        lambda o: o["atoms"][1].update(vector=1.0),
+        lambda o: o.update(p="2"),
+        lambda o: o.update(p=True),
     ],
 )
 def test_malformed_frame_objects_rejected(mutate):
@@ -60,6 +68,30 @@ def test_malformed_frame_objects_rejected(mutate):
     mutate(obj)
     with pytest.raises(FrameError):
         frame_from_obj(obj)
+
+
+def test_boolean_dimension_rejected():
+    from framelab import canonical_lp
+
+    obj = frame_to_obj(canonical_lp(1, 2.0))
+    obj["dimension"] = True  # a bool, though it equals 1
+    with pytest.raises(FrameError):
+        frame_from_obj(obj)
+
+
+def test_integer_entries_load_as_the_same_doubles():
+    from framelab import canonical_lp
+
+    frame = canonical_lp(2, 2.0)
+    obj = frame_to_obj(frame)
+    obj["p"] = 2
+    for atom in obj["atoms"]:
+        atom["weight"] = 1
+        atom["vector"] = [int(v) for v in atom["vector"]]
+    back = frame_from_obj(obj)
+    assert back.p == 2.0
+    assert np.array_equal(back.vectors, frame.vectors)
+    assert np.array_equal(back.space.weights, frame.space.weights)
 
 
 def test_load_rejects_non_json(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from framelab import sparse
 from framelab import (
     CoefficientFunction,
     FrameError,
@@ -167,6 +168,19 @@ def test_measure_min_equal_weight_tie_prefers_smaller_cardinality():
     assert not sol.unique  # {0, 1} fits at the same total weight
 
 
+def test_measure_min_tie_across_weight_classes_is_lexicographic():
+    # weight-1 pairs {1, 3} (0.5 + 0.5) and {0, 2} (0.25 + 0.75) both fit,
+    # and no cheaper support does; the lexicographically first one wins
+    vectors = [[1.0, 1.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+    frame = PSchauderFrame(MeasureSpace(np.array([0.25, 0.5, 0.75, 0.5])), 2.0, vectors, vectors, "real")
+    problem = SparseProblem(frame, np.array([1.0, 1.0, 0.0]))
+    sol = measure_min_brute_force(problem)
+    assert sol.support == (0, 2)
+    assert sol.support_weight == 1.0
+    assert not sol.unique
+    assert _solution_bits(sol) == _solution_bits(oracles.legacy_measure_min(problem))
+
+
 def test_measure_min_harmonic_quarter_weight():
     frame = harmonic_discretization(2, 4)
     planted = CoefficientFunction(frame.space, np.array([1, 0, 0, 0], dtype=complex))
@@ -323,3 +337,108 @@ def test_probe_requires_p2():
 def test_probe_guard():
     with pytest.raises(ResourceGuardError):
         conjecture_probe(canonical_lp(25, 2.0), trials=1)
+
+
+# ------------------------------------------- engine vs frozen per-support path
+
+
+def _with_weights(frame, weights):
+    return PSchauderFrame(MeasureSpace(weights), 2.0, frame.functionals, frame.vectors, frame.field)
+
+
+def _engine_frames():
+    rng = np.random.default_rng(2003)
+    low_rank = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 4))
+    return {
+        "parseval-real": random_parseval(3, 7, seed=1),
+        "parseval-complex": random_parseval(4, 8, seed=2, field="complex"),
+        "harmonic": harmonic_discretization(3, 7),
+        "harmonic-split": weighted_split(harmonic_discretization(4, 7, normalize=True), 5, 2),
+        "double-split-real": weighted_split(weighted_split(random_parseval(3, 6, seed=3), 0, 3), 4, 2),
+        "split-complex": weighted_split(random_parseval(3, 7, seed=4, field="complex"), 2, 2),
+        # few weight classes, so several count vectors share a (weight, cardinality) level
+        "class-weights": _with_weights(random_parseval(3, 8, seed=5), rng.choice([0.25, 0.5, 0.75, 1.0], 8)),
+        "distinct-weights": _with_weights(random_parseval(4, 8, seed=6, field="complex"), rng.uniform(0.1, 2.0, 8)),
+        "rank-deficient": PSchauderFrame(
+            MeasureSpace(rng.choice([0.5, 1.0], 8)), 2.0, low_rank, low_rank, "real"
+        ),
+    }
+
+
+ENGINE_FRAMES = _engine_frames()
+
+
+def _engine_targets(frame, rng):
+    """The zero target, a dense one (it fits only at k >= d, or not at all
+    when eps is 0) and planted ones; then the planted ones nudged off their
+    span by 0.5x and 2x the default tolerance."""
+    cplx = frame.field == "complex"
+
+    def gaussian(size):
+        return rng.standard_normal(size) + (1j * rng.standard_normal(size) if cplx else 0)
+
+    targets = [np.zeros(frame.dimension), gaussian(frame.dimension)]
+    nudged = []
+    for k in (1, 2, 3):
+        values = np.zeros(frame.n_atoms, dtype=frame.vectors.dtype)
+        values[rng.choice(frame.n_atoms, size=k, replace=False)] = gaussian(k)
+        h = synthesis(frame, CoefficientFunction(frame.space, values))
+        targets.append(h)
+        for scale in (0.5, 2.0):
+            nudge = gaussian(frame.dimension)
+            nudged.append(h + nudge / np.linalg.norm(nudge) * scale * 1e-8 * np.linalg.norm(h))
+    return targets, nudged
+
+
+def _solution_bits(sol):
+    coeff = None if sol.coefficients is None else sol.coefficients.values.tobytes()
+    return (
+        sol.status,
+        sol.support,
+        sol.support_cardinality,
+        sol.support_weight.hex(),
+        sol.residual.hex(),
+        sol.unique,
+        coeff,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
+def test_engine_matches_frozen_per_support_solvers(name):
+    frame = ENGINE_FRAMES[name]
+    rng = np.random.default_rng(len(name))
+    targets, nudged = _engine_targets(frame, rng)
+    cases = [(t, h, eps) for t, h in enumerate(targets) for eps in (None, 0.0, 1e-12)]
+    cases += [(len(targets) + t, h, None) for t, h in enumerate(nudged)]
+    for t, target, eps in cases:
+        problem = SparseProblem(frame, target, eps)
+        caps = (None, 1, frame.dimension) if t < 3 else (None,)
+        for cap in caps:
+            assert _solution_bits(l0_brute_force(problem, max_card=cap)) == _solution_bits(
+                oracles.legacy_l0(problem, max_card=cap)
+            ), (t, eps, cap)
+        assert _solution_bits(measure_min_brute_force(problem)) == _solution_bits(
+            oracles.legacy_measure_min(problem)
+        ), (t, eps)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
+def test_probe_support_pool_matches_frozen_list(name):
+    w = ENGINE_FRAMES[name].space.weights
+    for threshold in (0.0, float(w.min()), 1.0, 1.6, 2.5, math.inf):
+        assert sparse._light_supports(w, threshold) == oracles.legacy_light_supports(w, threshold)
+
+
+@pytest.mark.parametrize("name", ["harmonic-split", "split-complex", "class-weights", "distinct-weights"])
+@pytest.mark.parametrize("eps", [None, 1e-12])
+def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
+    frame = ENGINE_FRAMES[name]
+
+    def report():
+        return json.dumps(conjecture_probe(frame, trials=12, seed=31, eps_residual=eps), indent=2, sort_keys=True)
+
+    engine = report()
+    monkeypatch.setattr(sparse, "measure_min_brute_force", oracles.legacy_measure_min)
+    monkeypatch.setattr(sparse, "_light_supports", oracles.legacy_light_supports)
+    monkeypatch.setattr(sparse, "vector_to_obj", oracles.legacy_encode_values)
+    assert engine == report()
