@@ -7,6 +7,7 @@ from .frames import (
     CUE_TOLERANCE,
     REAL,
     SUPPORT_EPS,
+    VALIDATION_GUARD,
     CoefficientFunction,
     DegeneratePairError,
     ExtremalReport,
@@ -23,6 +24,7 @@ from .frames import (
     random_vectors,
     support_measure,
     synthesis,
+    uncertainty_batch,
     uncertainty_check,
     validate_frame,
 )

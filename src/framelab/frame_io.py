@@ -45,7 +45,13 @@ def _decode_scalar(obj, field: str):
     if field == COMPLEX:
         if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
             raise FrameError("complex scalars must be [re, im] pairs")
-        return complex(float(obj[0]), float(obj[1]))
+        # float() keeps every file that loaded before loading to the same
+        # bits (numeric strings such as "1.0" included); anything it cannot
+        # read is a malformed file, not a crash.
+        try:
+            return complex(float(obj[0]), float(obj[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise FrameError("complex scalar parts must be numbers") from None
     return _decode_number(obj, "a real scalar")
 
 

@@ -14,15 +14,22 @@ same bilinear pairing then serves real and complex families alike.
 
 ``uncertainty_check`` compares the support measures of the two analysis
 images of one nonzero vector against the reciprocal of the largest pairing
-between the two families.  ``validate_frame`` estimates the two axiom
-residuals on seeded random vectors, and ``extremal_search`` hunts for
-near-equality vectors of the support product.
+between the two families.  ``uncertainty_batch`` does the same for the rows
+of an (m, d) array in one pass, with the same bits as checking each row on
+its own; ``uncertainty_check`` is its one-row case.  Both take the pair's
+cross-coherence from a per-pair memo: it is computed by ``cross_coherence``
+the first time a pair of frame objects is checked and kept, under weak
+references, for as long as both frames live (frames are immutable).
+``validate_frame`` estimates the two axiom residuals on seeded random
+vectors, and ``extremal_search`` hunts for near-equality vectors of the
+support product, checking its candidates in chunks with the batch kernel.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +60,7 @@ class ResourceGuardError(RuntimeError):
 
 
 def _finite_or_raise(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FrameError(f"{what} must be finite (no NaN/Inf)")
 
 
@@ -216,6 +223,15 @@ class ValidationReport:
     passes: bool
 
 
+def _as_field(frame: PSchauderFrame, arr: np.ndarray) -> np.ndarray:
+    if frame.field == REAL and np.iscomplexobj(arr):
+        raise FrameError("real frames act on real vectors only")
+    dtype = np.complex128 if frame.field == COMPLEX else np.float64
+    arr = arr.astype(dtype, copy=False)
+    _finite_or_raise(arr, "vector entries")
+    return arr
+
+
 def _as_input_vector(frame: PSchauderFrame, x) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size != frame.dimension:
@@ -223,12 +239,16 @@ def _as_input_vector(frame: PSchauderFrame, x) -> np.ndarray:
             f"vector length {arr.size if arr.ndim == 1 else arr.shape} does not "
             f"match frame dimension {frame.dimension}"
         )
-    if frame.field == REAL and np.iscomplexobj(arr):
-        raise FrameError("real frames act on real vectors only")
-    dtype = np.complex128 if frame.field == COMPLEX else np.float64
-    arr = arr.astype(dtype, copy=False)
-    _finite_or_raise(arr, "vector entries")
-    return arr
+    return _as_field(frame, arr)
+
+
+def _as_input_rows(frame: PSchauderFrame, X) -> np.ndarray:
+    arr = np.asarray(X)
+    if arr.ndim != 2 or arr.shape[1] != frame.dimension:
+        raise FrameError(
+            f"input rows of shape {arr.shape} do not form an (m, {frame.dimension}) array"
+        )
+    return _as_field(frame, arr)
 
 
 def analysis(frame: PSchauderFrame, x) -> CoefficientFunction:
@@ -248,6 +268,27 @@ def synthesis(frame: PSchauderFrame, coeffs: CoefficientFunction) -> np.ndarray:
     return (frame.space.weights * coeffs.values) @ frame.vectors
 
 
+def _support_measures(weights: np.ndarray, coeffs: np.ndarray, eps: float) -> list[float]:
+    """Support measure of every row of the (m, n_atoms) array ``coeffs``.
+
+    Row i keeps the atoms with ``|c_ij| > eps * max_j |c_ij|``; a row whose
+    peak is 0 keeps none and measures 0.0.  ``math.fsum`` runs once per
+    distinct mask, so split weights stay bit-exact and repeated masks cost
+    nothing extra.
+    """
+    mags = np.abs(coeffs)
+    masks = mags > eps * mags.max(axis=1, keepdims=True)
+    if len(masks) == 1:
+        # np.unique over rows has a fixed cost several times that of a
+        # whole one-row check; a single row has nothing to group.
+        return [math.fsum(weights[masks[0]])]
+    _, first, inverse = np.unique(
+        np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    sums = [math.fsum(weights[masks[i]]) for i in first]
+    return [sums[k] for k in inverse.ravel()]
+
+
 def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> float:
     """Total weight of atoms whose coefficient magnitude exceeds
     ``eps * max_j |c_j|``.  The threshold is relative, which makes the result
@@ -260,11 +301,7 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     """
     if eps < 0:
         raise FrameError("eps must be nonnegative")
-    mags = np.abs(coeffs.values)
-    peak = mags.max() if mags.size else 0.0
-    if peak == 0.0:
-        return 0.0
-    return math.fsum(coeffs.space.weights[mags > eps * peak])
+    return _support_measures(coeffs.space.weights, coeffs.values[None, :], eps)[0]
 
 
 def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[float, float]:
@@ -286,6 +323,92 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
     return coh_fg, coh_gf
 
 
+# Cross-coherences of frame pairs already seen, keyed on the frames
+# themselves: frames are frozen with read-only tables and hash by identity
+# (eq=False), and weak keys never keep a frame alive.
+_COHERENCE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _pair_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[float, float]:
+    """``cross_coherence(frame_f, frame_g)``, computed once per frame pair.
+
+    Errors are never cached: a degenerate or mismatched pair raises on
+    every call.
+    """
+    inner = _COHERENCE.get(frame_f)
+    if inner is not None:
+        coh = inner.get(frame_g)
+        if coh is not None:
+            return coh
+    coh = cross_coherence(frame_f, frame_g)
+    _COHERENCE.setdefault(frame_f, weakref.WeakKeyDictionary())[frame_g] = coh
+    return coh
+
+
+def _same_exponent(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
+    if frame_f.p != frame_g.p:
+        raise FrameError("frames must share the exponent p")
+
+
+def _uncertainty_rows(
+    frame_f: PSchauderFrame, frame_g: PSchauderFrame, rows: np.ndarray, eps: float
+) -> list[UncertaintyReport]:
+    """Reports for validated (m, d) input rows; see ``uncertainty_batch``."""
+    if not rows.any(axis=1).all():
+        raise FrameError("theorem excludes x = 0")
+    coh_fg, coh_gf = _pair_coherence(frame_f, frame_g)
+    if eps < 0:
+        raise FrameError("eps must be nonnegative")
+    supports = []
+    for frame in (frame_f, frame_g):
+        # One stacked matrix-vector product per row: the same bits as
+        # ``frame.functionals @ x`` for each row (a gemm would not be).
+        coeffs = np.matmul(frame.functionals, rows[..., None])[..., 0]
+        _finite_or_raise(coeffs, "coefficients")
+        supports.append(_support_measures(frame.space.weights, coeffs, eps))
+    p = frame_f.p
+    q = frame_f.q
+    bound1 = 1.0 / coh_fg
+    bound2 = 1.0 / coh_gf
+    reports = []
+    for supp_f, supp_g in zip(*supports):
+        lhs1 = supp_f ** (1.0 / p) * supp_g ** (1.0 / q)
+        lhs2 = supp_g ** (1.0 / p) * supp_f ** (1.0 / q)
+        reports.append(
+            UncertaintyReport(
+                supp_f=supp_f,
+                supp_g=supp_g,
+                lhs1=lhs1,
+                lhs2=lhs2,
+                coh_fg=coh_fg,
+                coh_gf=coh_gf,
+                bound1=bound1,
+                bound2=bound2,
+                holds1=lhs1 >= bound1 - CUE_TOLERANCE,
+                holds2=lhs2 >= bound2 - CUE_TOLERANCE,
+            )
+        )
+    return reports
+
+
+def uncertainty_batch(
+    frame_f: PSchauderFrame,
+    frame_g: PSchauderFrame,
+    X,
+    eps: float = SUPPORT_EPS,
+) -> list[UncertaintyReport]:
+    """``uncertainty_check`` for every row of the (m, d) array X at once.
+
+    The rows are validated once, the pair's cross-coherence is computed
+    once (and remembered for the lifetime of the two frames), and each
+    analysis is one stacked product.  Report i equals, bit for bit,
+    ``uncertainty_check(frame_f, frame_g, X[i], eps)``; any zero row is
+    rejected like x = 0 there.
+    """
+    _same_exponent(frame_f, frame_g)
+    return _uncertainty_rows(frame_f, frame_g, _as_input_rows(frame_f, X), eps)
+
+
 def uncertainty_check(
     frame_f: PSchauderFrame,
     frame_g: PSchauderFrame,
@@ -301,39 +424,32 @@ def uncertainty_check(
         S_g**(1/p) * S_f**(1/q) >= 1 / coh_gf
 
     Each is accepted up to the additive ``CUE_TOLERANCE``.  x = 0 is outside
-    the statement's domain and rejected.
+    the statement's domain and rejected.  This is the one-row case of
+    ``uncertainty_batch``.
     """
-    if frame_f.p != frame_g.p:
-        raise FrameError("frames must share the exponent p")
-    xv = _as_input_vector(frame_f, x)
-    if not np.any(xv != 0):
-        raise FrameError("theorem excludes x = 0")
-    coh_fg, coh_gf = cross_coherence(frame_f, frame_g)
-    supp_f = support_measure(analysis(frame_f, xv), eps)
-    supp_g = support_measure(analysis(frame_g, xv), eps)
-    p = frame_f.p
-    q = frame_f.q
-    lhs1 = supp_f ** (1.0 / p) * supp_g ** (1.0 / q)
-    lhs2 = supp_g ** (1.0 / p) * supp_f ** (1.0 / q)
-    bound1 = 1.0 / coh_fg
-    bound2 = 1.0 / coh_gf
-    return UncertaintyReport(
-        supp_f=supp_f,
-        supp_g=supp_g,
-        lhs1=float(lhs1),
-        lhs2=float(lhs2),
-        coh_fg=coh_fg,
-        coh_gf=coh_gf,
-        bound1=bound1,
-        bound2=bound2,
-        holds1=bool(lhs1 >= bound1 - CUE_TOLERANCE),
-        holds2=bool(lhs2 >= bound2 - CUE_TOLERANCE),
-    )
+    _same_exponent(frame_f, frame_g)
+    return _uncertainty_rows(frame_f, frame_g, _as_input_vector(frame_f, x)[None, :], eps)[0]
+
+
+# Hard cap on the scalars one random-vector table may hold: trials x
+# max(n_atoms, dimension) for ``validate_frame``, count x dimension for
+# ``random_vectors``.  At 10^7 a complex table takes 160 MB; larger requests
+# are refused before anything is allocated.
+VALIDATION_GUARD = 10_000_000
+
+
+def _check_table_guard(rows: int, cols: int) -> None:
+    if rows * cols > VALIDATION_GUARD:
+        raise ResourceGuardError(
+            f"{rows} x {cols} = {rows * cols} scalars exceeds guard {VALIDATION_GUARD}"
+        )
 
 
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """(count, dimension) array of i.i.d. standard normal entries; complex
-    entries are standard complex normal.  Deterministic per seed."""
+    entries are standard complex normal.  Deterministic per seed.  Refuses
+    tables beyond ``VALIDATION_GUARD`` scalars."""
+    _check_table_guard(count, dimension)
     rng = np.random.default_rng(seed)
     if field == COMPLEX:
         re = rng.standard_normal((count, dimension))
@@ -355,10 +471,12 @@ def validate_frame(
     * isometry: ``|sum_i w_i |f_i(x)|^p - norm(x,p)^p| / norm(x,p)^p``
     * reconstruction: ``norm(synthesis(analysis(x)) - x, p) / norm(x, p)``
 
-    The report passes when both maxima are at most ``tol``.
+    The report passes when both maxima are at most ``tol``.  Refuses
+    ``trials * max(n_atoms, dimension)`` beyond ``VALIDATION_GUARD``.
     """
     if trials < 1:
         raise FrameError("trials must be at least 1")
+    _check_table_guard(trials, max(frame.n_atoms, frame.dimension))
     xs = random_vectors(frame.dimension, trials, frame.field, rng_seed)
     p = frame.p
     w = frame.space.weights
@@ -399,6 +517,10 @@ class ExtremalReport:
 # rather than silently truncated.
 EXTREMAL_BUDGET_GUARD = 1_000_000
 
+# Candidates synthesized and checked together by ``extremal_search``; bounds
+# its working memory at O(EXTREMAL_CHUNK * max(n_atoms, dimension)).
+EXTREMAL_CHUNK = 256
+
 
 def extremal_search(
     frame_f: PSchauderFrame,
@@ -414,8 +536,13 @@ def extremal_search(
     Candidates are the all-ones coefficient patterns on supports enumerated
     by increasing cardinality (lexicographic within a cardinality, capped at
     ``max_card``), followed by seeded random support/coefficient draws until
-    ``budget`` evaluations are spent.  Returns the minimal observed lhs1 and
-    the minimizing vector; the reported minimum is empirical only.
+    ``budget`` evaluations are spent.  Candidates that synthesize to x = 0
+    are skipped and not counted.  Returns the first minimal observed lhs1
+    and the minimizing vector; the reported minimum is empirical only.
+
+    Candidates are synthesized and checked ``EXTREMAL_CHUNK`` at a time with
+    ``uncertainty_batch``; the result is the same as checking them one by
+    one, bit for bit.
     """
     if budget < 1:
         raise FrameError("budget must be at least 1")
@@ -427,40 +554,51 @@ def extremal_search(
         raise FrameError("max_card must be at least 1")
 
     rng = np.random.default_rng(seed)
+    dtype = frame_g.vectors.dtype
     best: UncertaintyReport | None = None
     best_x: np.ndarray | None = None
     evaluated = 0
 
-    def consider(x: np.ndarray) -> None:
+    def consider(values: np.ndarray) -> None:
+        # values: (k, n) coefficient rows, at most budget - evaluated of them,
+        # so the budget is never overrun.  The stacked vector-matrix product
+        # gives each row the same bits as ``synthesis`` does.
         nonlocal best, best_x, evaluated
-        if not np.any(x != 0):
+        xs = np.matmul((frame_g.space.weights * values)[:, None, :], frame_g.vectors)[:, 0, :]
+        xs = xs[xs.any(axis=1)]
+        if not len(xs):
             return
-        rep = uncertainty_check(frame_f, frame_g, x, eps)
-        evaluated += 1
-        if best is None or rep.lhs1 < best.lhs1:
-            best, best_x = rep, x
+        reports = uncertainty_batch(frame_f, frame_g, xs, eps)
+        evaluated += len(reports)
+        i = int(np.argmin([rep.lhs1 for rep in reports]))
+        if best is None or reports[i].lhs1 < best.lhs1:
+            best, best_x = reports[i], xs[i].copy()
 
-    for card in range(1, cap + 1):
-        for supp in itertools.combinations(range(n), card):
-            if evaluated >= budget:
-                break
-            values = np.zeros(n, dtype=frame_g.vectors.dtype)
-            values[list(supp)] = 1.0
-            consider(synthesis(frame_g, CoefficientFunction(frame_g.space, values)))
-        if evaluated >= budget:
+    supports = itertools.chain.from_iterable(
+        itertools.combinations(range(n), card) for card in range(1, cap + 1)
+    )
+    while evaluated < budget:
+        chunk = list(itertools.islice(supports, min(EXTREMAL_CHUNK, budget - evaluated)))
+        if not chunk:
             break
+        values = np.zeros((len(chunk), n), dtype=dtype)
+        for row, supp in zip(values, chunk):
+            row[list(supp)] = 1.0
+        consider(values)
 
     attempts = 0
     while evaluated < budget and attempts < 10 * budget:
-        attempts += 1
-        card = int(rng.integers(1, cap + 1))
-        supp = np.sort(rng.choice(n, size=card, replace=False))
-        values = np.zeros(n, dtype=frame_g.vectors.dtype)
-        if frame_g.field == COMPLEX:
-            values[supp] = (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
-        else:
-            values[supp] = rng.standard_normal(card)
-        consider(synthesis(frame_g, CoefficientFunction(frame_g.space, values)))
+        k = min(EXTREMAL_CHUNK, budget - evaluated, 10 * budget - attempts)
+        attempts += k
+        values = np.zeros((k, n), dtype=dtype)
+        for row in values:
+            card = int(rng.integers(1, cap + 1))
+            supp = np.sort(rng.choice(n, size=card, replace=False))
+            if frame_g.field == COMPLEX:
+                row[supp] = (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
+            else:
+                row[supp] = rng.standard_normal(card)
+        consider(values)
 
     if best is None or best_x is None:
         raise FrameError("no nonzero candidate vector could be synthesized")

@@ -139,3 +139,146 @@ def legacy_encode_values(values, field):
     if field == "complex":
         return [[float(z.real), float(z.imag)] for z in values]
     return [float(np.real(z)) for z in values]
+
+
+# ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the per-vector uncertainty checker and extremal search as
+# they were before the batched kernel (``uncertainty_batch``: one
+# cross-coherence per frame pair, stacked analyses, one fsum per distinct
+# support mask, chunked candidate synthesis) replaced them.  Each vector
+# recomputes both cross-coherence products, builds its own coefficient
+# functions and sums its support on its own.  The differential tests in
+# test_frames.py require the kernel to reproduce these bit for bit.  Do not
+# speed them up or share code with the kernel; only the report types and the
+# public analysis/synthesis/cross_coherence are taken from framelab.
+
+
+def legacy_support_measure(coeffs, eps):
+    from framelab import FrameError
+
+    if eps < 0:
+        raise FrameError("eps must be nonnegative")
+    mags = np.abs(coeffs.values)
+    peak = mags.max() if mags.size else 0.0
+    if peak == 0.0:
+        return 0.0
+    return math.fsum(coeffs.space.weights[mags > eps * peak])
+
+
+def legacy_uncertainty_check(frame_f, frame_g, x, eps):
+    from framelab import CUE_TOLERANCE, FrameError, UncertaintyReport, analysis, cross_coherence
+
+    # valid inputs only: the shape, field and finiteness checks are left out
+    if frame_f.p != frame_g.p:
+        raise FrameError("frames must share the exponent p")
+    xv = np.asarray(x).astype(np.complex128 if frame_f.field == "complex" else np.float64, copy=False)
+    if not np.any(xv != 0):
+        raise FrameError("theorem excludes x = 0")
+    coh_fg, coh_gf = cross_coherence(frame_f, frame_g)
+    supp_f = legacy_support_measure(analysis(frame_f, xv), eps)
+    supp_g = legacy_support_measure(analysis(frame_g, xv), eps)
+    p = frame_f.p
+    q = frame_f.q
+    lhs1 = supp_f ** (1.0 / p) * supp_g ** (1.0 / q)
+    lhs2 = supp_g ** (1.0 / p) * supp_f ** (1.0 / q)
+    bound1 = 1.0 / coh_fg
+    bound2 = 1.0 / coh_gf
+    return UncertaintyReport(
+        supp_f=supp_f,
+        supp_g=supp_g,
+        lhs1=float(lhs1),
+        lhs2=float(lhs2),
+        coh_fg=coh_fg,
+        coh_gf=coh_gf,
+        bound1=bound1,
+        bound2=bound2,
+        holds1=bool(lhs1 >= bound1 - CUE_TOLERANCE),
+        holds2=bool(lhs2 >= bound2 - CUE_TOLERANCE),
+    )
+
+
+def legacy_extremal_search(frame_f, frame_g, budget, seed, eps, max_card=None):
+    from framelab import COMPLEX, CoefficientFunction, ExtremalReport, FrameError, synthesis
+
+    n = frame_g.n_atoms
+    cap = n if max_card is None else min(int(max_card), n)
+    rng = np.random.default_rng(seed)
+    best = None
+    best_x = None
+    evaluated = 0
+
+    def consider(x):
+        nonlocal best, best_x, evaluated
+        if not np.any(x != 0):
+            return
+        rep = legacy_uncertainty_check(frame_f, frame_g, x, eps)
+        evaluated += 1
+        if best is None or rep.lhs1 < best.lhs1:
+            best, best_x = rep, x
+
+    for card in range(1, cap + 1):
+        for supp in itertools.combinations(range(n), card):
+            if evaluated >= budget:
+                break
+            values = np.zeros(n, dtype=frame_g.vectors.dtype)
+            values[list(supp)] = 1.0
+            consider(synthesis(frame_g, CoefficientFunction(frame_g.space, values)))
+        if evaluated >= budget:
+            break
+
+    attempts = 0
+    while evaluated < budget and attempts < 10 * budget:
+        attempts += 1
+        card = int(rng.integers(1, cap + 1))
+        supp = np.sort(rng.choice(n, size=card, replace=False))
+        values = np.zeros(n, dtype=frame_g.vectors.dtype)
+        if frame_g.field == COMPLEX:
+            values[supp] = (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
+        else:
+            values[supp] = rng.standard_normal(card)
+        consider(synthesis(frame_g, CoefficientFunction(frame_g.space, values)))
+
+    if best is None:
+        raise FrameError("no nonzero candidate vector could be synthesized")
+    return ExtremalReport(
+        min_lhs1=best.lhs1,
+        minimizer=best_x,
+        report=best,
+        bound1=best.bound1,
+        candidates_evaluated=evaluated,
+    )
+
+
+def legacy_cue_sweep_rows(zoo, vectors, seed):
+    """CSV rows of scripts/cue_sweep.py as the per-vector loop printed them."""
+    groups = {}
+    for name, frame in zoo:
+        groups.setdefault((frame.dimension, frame.p, frame.field), []).append((name, frame))
+    rows = []
+    pair_index = 0
+    for (d, p, field), members in sorted(groups.items()):
+        for name_f, ff in members:
+            for name_g, fg in members:
+                rng = np.random.default_rng(seed + pair_index)
+                pair_index += 1
+                violations = 0
+                min_slack1 = np.inf
+                min_slack2 = np.inf
+                for _ in range(vectors):
+                    k = int(rng.integers(1, d + 1))
+                    support = rng.choice(d, size=k, replace=False)
+                    x = np.zeros(d, dtype=complex if field == "complex" else float)
+                    if field == "complex":
+                        x[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                    else:
+                        x[support] = rng.standard_normal(k)
+                    rep = legacy_uncertainty_check(ff, fg, x, 0.0)
+                    min_slack1 = min(min_slack1, rep.lhs1 - rep.bound1)
+                    min_slack2 = min(min_slack2, rep.lhs2 - rep.bound2)
+                    if not (rep.holds1 and rep.holds2):
+                        violations += 1
+                rows.append(
+                    f"1,{name_f},{name_g},{d},{p!r},{field},{vectors},"
+                    f"{violations},{min_slack1!r},{min_slack2!r}"
+                )
+    return rows

@@ -106,6 +106,26 @@ def test_validate_reports_and_fails_on_broken_frame(tmp_path, capsys):
     assert not json.loads(out)["passes"]
 
 
+def test_validate_malformed_complex_scalar_is_one_line_domain_error(dft_files, tmp_path, capsys):
+    obj = json.loads(Path(dft_files[1]).read_text())
+    obj["atoms"][0]["vector"][0] = ["a", 0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli("validate", "--frame", str(path), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "complex scalar" in err
+
+
+def test_validate_trials_guard_refuses_without_allocating(dft_files, capsys):
+    # 10^15 trials x 4 scalars could never be allocated; the guard is checked
+    # arithmetically first and exits 4
+    code, out, err = run_cli("validate", "--frame", dft_files[0], "--trials", str(10**15), capsys=capsys)
+    assert code == 4
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1 and "guard" in err
+
+
 # ------------------------------------------------------------ coherence
 
 

@@ -110,3 +110,24 @@ def test_file_schema_shape(tmp_path):
     obj = json.loads(path.read_text())
     assert set(obj) == {"field", "p", "dimension", "atoms"}
     assert [a["weight"] for a in obj["atoms"]] == [0.5, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("scalar", [["a", 0], [None, 0], [0, [1.0]], [10**400, 0]])
+def test_complex_scalar_parts_must_be_numbers(scalar):
+    from framelab import dft_pair
+
+    obj = frame_to_obj(dft_pair(2)[1])
+    obj["atoms"][0]["vector"][1] = scalar
+    with pytest.raises(FrameError, match="complex scalar"):
+        frame_from_obj(obj)
+
+
+def test_numeric_string_complex_parts_still_load_to_the_same_bits():
+    from framelab import dft_pair
+
+    frame = dft_pair(2)[1]
+    obj = frame_to_obj(frame)
+    re, im = obj["atoms"][0]["vector"][0]
+    obj["atoms"][0]["vector"][0] = [repr(re), im]
+    back = frame_from_obj(obj)
+    assert back.vectors.tobytes() == frame.vectors.tobytes()

@@ -1,25 +1,36 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from framelab import (
+    VALIDATION_GUARD,
     CoefficientFunction,
     DegeneratePairError,
     FrameError,
     MeasureSpace,
     PSchauderFrame,
+    ResourceGuardError,
     analysis,
     canonical_lp,
     counting_measure,
     cross_coherence,
+    default_zoo,
     dft_pair,
+    extremal_search,
+    frames,
     harmonic_discretization,
     mercedes_benz,
     picket_fence,
     random_vectors,
     support_measure,
     synthesis,
+    uncertainty_batch,
     uncertainty_check,
     validate_frame,
     weighted_split,
@@ -338,3 +349,203 @@ def test_random_vectors_deterministic():
     a = random_vectors(3, 5, "complex", seed=9)
     b = random_vectors(3, 5, "complex", seed=9)
     assert np.array_equal(a, b)
+
+
+def test_validation_guard_refuses_before_allocating():
+    # 10^12 scalars would be terabytes; the guard is arithmetic, so these
+    # return at once instead of attempting the allocation
+    frame = harmonic_discretization(4, 8)
+    with pytest.raises(ResourceGuardError):
+        validate_frame(frame, trials=10**12)
+    with pytest.raises(ResourceGuardError):
+        validate_frame(frame, trials=VALIDATION_GUARD // frame.n_atoms + 1)
+    with pytest.raises(ResourceGuardError):
+        random_vectors(VALIDATION_GUARD + 1, 1)
+    with pytest.raises(ResourceGuardError):
+        random_vectors(2, VALIDATION_GUARD // 2 + 1, "complex")
+
+
+# ------------------------------------------------ batched kernel vs oracle
+#
+# ``uncertainty_batch`` and the chunked ``extremal_search`` must reproduce
+# the frozen per-vector loops in oracles.py bit for bit.
+
+
+def _bits(value):
+    if isinstance(value, np.ndarray):
+        return (value.dtype.str, value.shape, value.tobytes())
+    if dataclasses.is_dataclass(value):
+        return tuple((f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value))
+    return (type(value).__name__, repr(value))
+
+
+def _kernel_pairs():
+    zoo = default_zoo()
+    pairs = [
+        (f"{nf}/{ng}", ff, fg)
+        for nf, ff in zoo
+        for ng, fg in zoo
+        if (ff.dimension, ff.p, ff.field) == (fg.dimension, fg.p, fg.field)
+    ]
+    for d in (16, 64, 256):
+        first, second = dft_pair(d)
+        pairs += [(f"dft{d}", first, second), (f"dft{d}_swapped", second, first)]
+    return pairs
+
+
+def _kernel_rows(frame, seed):
+    rng = np.random.default_rng(seed)
+    d = frame.dimension
+    dtype = complex if frame.field == "complex" else float
+    rows = []
+    for _ in range(6):
+        k = int(rng.integers(1, d + 1))
+        x = np.zeros(d, dtype=dtype)
+        x[rng.choice(d, size=k, replace=False)] = 1.0 + rng.standard_normal(k)
+        rows.append(x)
+    rows.append(random_vectors(d, 1, frame.field, seed)[0])
+    rows.append(np.ones(d, dtype=dtype))
+    m = int(np.sqrt(d))
+    if m * m == d:
+        rows.append(picket_fence(d).astype(dtype))
+    rows.append(rows[0])  # a repeated mask: its fsum is shared in the batch
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-3])
+def test_uncertainty_batch_matches_frozen_per_vector_checker(eps):
+    checked = 0
+    for k, (label, ff, fg) in enumerate(_kernel_pairs()):
+        rows = _kernel_rows(ff, k)
+        batch = uncertainty_batch(ff, fg, rows, eps)
+        assert len(batch) == len(rows)
+        for x, rep in zip(rows, batch):
+            expected = _bits(oracles.legacy_uncertainty_check(ff, fg, x, eps))
+            assert _bits(rep) == expected, label
+            assert _bits(uncertainty_check(ff, fg, x, eps)) == expected, label
+            checked += 1
+    assert checked > 700
+
+
+def test_support_measure_matches_frozen_copy():
+    split = weighted_split(canonical_lp(3, 2.0), 0, 3)
+    for values in ([1.0, 0.0, 2.0, 1e-12, 3.0], [0.0] * 5, [1e-300, 0.0, 0.0, 0.0, 1.0]):
+        c = CoefficientFunction(split.space, np.array(values))
+        for eps in (0.0, 1e-9, 1e-3):
+            assert _bits(support_measure(c, eps)) == _bits(oracles.legacy_support_measure(c, eps))
+
+
+def _cancelling_frame():
+    # atoms 0 and 1 cancel exactly, so the all-ones pattern on {0, 1}
+    # synthesizes x = 0 exactly
+    vectors = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]
+    return PSchauderFrame(counting_measure(3), 2.0, vectors, vectors, "real")
+
+
+def _extremal_cases():
+    dft4, dft9, dft16 = dft_pair(4), dft_pair(9), dft_pair(16)
+    zoo = dict(default_zoo())
+    cases = [(f"dft16/b{b}", *dft16, b, None) for b in (1, 20, 300, 1000)]
+    cases += [
+        ("dft16/card2", *dft16, 300, 2),
+        ("dft9/card1", *dft9, 300, 1),  # 9 support patterns, then random draws
+        ("dft4/card2", *dft4, 300, 2),  # complex random draws
+        ("mercedes", mercedes_benz(), mercedes_benz(), 20, None),
+        ("mercedes/card3", mercedes_benz(), mercedes_benz(), 300, 3),
+        ("cancelling", _cancelling_frame(), _cancelling_frame(), 300, None),
+        ("split", zoo["split_mercedes"], zoo["mercedes"], 300, None),
+        ("harmonic", zoo["split_harmonic_d4"], zoo["harmonic_d4_n8"], 1000, 3),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("case", _extremal_cases(), ids=lambda c: c[0])
+def test_extremal_search_matches_frozen_per_candidate_loop(case, eps):
+    label, ff, fg, budget, max_card = case
+    seed = budget + 7
+    got = extremal_search(ff, fg, budget=budget, seed=seed, eps=eps, max_card=max_card)
+    expected = oracles.legacy_extremal_search(ff, fg, budget, seed, eps, max_card)
+    assert _bits(got) == _bits(expected)
+
+
+def test_extremal_chunks_cross_a_cardinality_change():
+    # 16 + 120 supports of cardinality 1 and 2, so the first chunk of
+    # EXTREMAL_CHUNK candidates ends inside cardinality 3
+    assert 16 + 120 < frames.EXTREMAL_CHUNK < 16 + 120 + 560
+    first, second = dft_pair(16)
+    assert extremal_search(first, second, budget=frames.EXTREMAL_CHUNK + 1).candidates_evaluated == (
+        frames.EXTREMAL_CHUNK + 1
+    )
+
+
+def test_extremal_skips_zero_candidates_uncounted():
+    frame = _cancelling_frame()
+    # supports {0}, {1}, {2}, {0,2}, {1,2}, {0,1,2}: {0,1} alone cancels
+    result = extremal_search(frame, frame, budget=6, max_card=3)
+    assert result.candidates_evaluated == 6
+    assert np.any(result.minimizer != 0)
+    zero_atoms = PSchauderFrame(counting_measure(2), 2.0, [[1.0], [1.0]], [[0.0], [0.0]], "real")
+    with pytest.raises(FrameError, match="no nonzero candidate"):
+        extremal_search(zero_atoms, zero_atoms, budget=3)
+
+
+# ------------------------------------------------ batched BLAS forms
+
+
+def test_stacked_products_equal_per_vector_products():
+    # The kernel relies on np.matmul with a trailing unit axis computing each
+    # row exactly as the per-vector product does (gemv, not gemm); with
+    # eps = 0 a last-bit difference could flip a support mask.  This is BLAS
+    # behaviour, not a guarantee, so it is pinned here.
+    frame_list = [f for _, f in default_zoo()] + [g for d in (16, 64, 256) for g in dft_pair(d)]
+    for k, frame in enumerate(frame_list):
+        X = random_vectors(frame.dimension, 16, frame.field, seed=k)
+        stacked = np.matmul(frame.functionals, X[..., None])[..., 0]
+        for x, row in zip(X, stacked):
+            assert np.array_equal(row, frame.functionals @ x)
+        V = random_vectors(frame.n_atoms, 16, frame.field, seed=100 + k)
+        synth = np.matmul((frame.space.weights * V)[:, None, :], frame.vectors)[:, 0, :]
+        for v, row in zip(V, synth):
+            assert np.array_equal(row, synthesis(frame, CoefficientFunction(frame.space, v)))
+
+
+def test_uncertainty_batch_rejects_bad_rows():
+    first, second = dft_pair(4)
+    good = picket_fence(4).astype(complex)
+    with pytest.raises(FrameError, match="x = 0"):
+        uncertainty_batch(first, second, np.array([good, np.zeros(4)]))
+    with pytest.raises(FrameError):
+        uncertainty_batch(first, second, good)  # one vector, not (m, d) rows
+    with pytest.raises(FrameError):
+        uncertainty_batch(first, second, np.ones((2, 3)))
+    with pytest.raises(FrameError, match="finite"):
+        uncertainty_batch(first, second, np.array([good, [np.nan, 1, 0, 0]]))
+    with pytest.raises(FrameError, match="eps"):
+        uncertainty_batch(first, second, good[None, :], eps=-1.0)
+    with pytest.raises(FrameError):
+        uncertainty_batch(canonical_lp(2, 2.0), canonical_lp(2, 3.0), np.ones((1, 2)))
+    with pytest.raises(FrameError, match="real"):
+        uncertainty_batch(canonical_lp(2, 2.0), canonical_lp(2, 2.0), np.ones((1, 2), dtype=complex))
+    overflow = PSchauderFrame(counting_measure(2), 2.0, [[1e308, 1e308], [0, 1]], [[1, 0], [0, 1]])
+    with np.errstate(over="ignore"), pytest.raises(FrameError, match="coefficients"):
+        uncertainty_batch(overflow, canonical_lp(2, 2.0), np.array([[10.0, 10.0]]))
+    assert uncertainty_batch(first, second, np.zeros((0, 4), dtype=complex)) == []
+
+
+def test_degenerate_pair_raises_on_every_call():
+    zero = PSchauderFrame(counting_measure(2), 2.0, np.zeros((2, 2)), np.zeros((2, 2)))
+    frame = canonical_lp(2, 2.0)
+    for _ in range(2):
+        with pytest.raises(DegeneratePairError):
+            uncertainty_batch(frame, zero, np.ones((3, 2)))
+
+
+def test_pair_coherence_memo_holds_no_frame_alive():
+    first, second = dft_pair(4)
+    rep = uncertainty_check(first, second, picket_fence(4))
+    assert frames._pair_coherence(first, second) == (rep.coh_fg, rep.coh_gf) == cross_coherence(first, second)
+    refs = [weakref.ref(first), weakref.ref(second)]
+    del first, second, rep
+    gc.collect()
+    assert all(ref() is None for ref in refs)
