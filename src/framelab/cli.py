@@ -188,16 +188,12 @@ def cmd_coherence(args) -> int:
         out = {
             "schema_version": SCHEMA_VERSION,
             "gram_coherence": coh,
-            "uniqueness_threshold": sparse.uniqueness_threshold(coh),
+            "uniqueness_threshold": frame_io.json_number(sparse.uniqueness_threshold(coh)),
         }
         if args.normalized:
             coh_n = sparse.gram_coherence(frame, normalized=True)
             out["gram_coherence_normalized"] = coh_n
-            out["uniqueness_threshold_normalized"] = sparse.uniqueness_threshold(coh_n)
-        if not np.isfinite(out["uniqueness_threshold"]):
-            out["uniqueness_threshold"] = "unbounded"
-        if args.normalized and not np.isfinite(out.get("uniqueness_threshold_normalized", 0.0)):
-            out["uniqueness_threshold_normalized"] = "unbounded"
+            out["uniqueness_threshold_normalized"] = frame_io.json_number(sparse.uniqueness_threshold(coh_n))
         _emit(out)
         return EXIT_OK
     other = frame_io.load_frame(args.frame_g)

@@ -11,13 +11,20 @@ Layout::
 
 Real scalars are plain numbers; complex scalars are two-element arrays
 ``[re, im]``.  Doubles survive a write/read cycle bit-identically because the
-encoder emits shortest round-trip decimals.
+writer emits shortest round-trip decimals.
+
+The text layout is a fixed contract: it is exactly the bytes of
+``json.dumps(frame_to_obj(frame), indent=2)`` (2-space indent, one scalar or
+bracket per line, ``float.__repr__`` decimals).  ``frame_json`` writes that
+text directly rather than through the pure-Python indenting encoder, and
+``tests/test_frame_io.py`` pins it against the ``json.dumps`` form; digests
+and saved files depend on every byte of it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,12 +125,45 @@ def frame_from_obj(obj) -> PSchauderFrame:
     )
 
 
+def _parts(table: np.ndarray, field: str) -> np.ndarray:
+    """Rows of JSON scalars in file order: complex entries as re, im."""
+    if field == COMPLEX:
+        return np.stack([table.real, table.imag], axis=-1).reshape(table.shape[0], -1)
+    return table
+
+
 def frame_json(frame: PSchauderFrame) -> str:
-    """Canonical text form; also the hashing preimage for frame digests."""
-    return json.dumps(frame_to_obj(frame), indent=2)
+    """Canonical text form; also the hashing preimage for frame digests.
+
+    Byte-identical to ``json.dumps(frame_to_obj(frame), indent=2)``: ``%r``
+    of a Python float is the ``float.__repr__`` the encoder emits, and
+    frames hold only finite doubles, so no ``NaN``/``Infinity`` spelling
+    can arise.
+    """
+    cell = "[\n          %r,\n          %r\n        ]" if frame.field == COMPLEX else "%r"
+    row = ",\n        ".join([cell] * frame.dimension)
+    atom = (
+        '    {\n      "weight": %r,\n      "functional": [\n        ' + row
+        + '\n      ],\n      "vector": [\n        ' + row + "\n      ]\n    }"
+    )
+    table = np.hstack(
+        [
+            frame.space.weights[:, None],
+            _parts(frame.functionals, frame.field),
+            _parts(frame.vectors, frame.field),
+        ]
+    ).tolist()
+    header = '{\n  "field": %s,\n  "p": %r,\n  "dimension": %d,\n  "atoms": [\n' % (
+        json.dumps(frame.field),
+        frame.p,
+        frame.dimension,
+    )
+    return header + ",\n".join([atom % tuple(values) for values in table]) + "\n  ]\n}"
 
 
 def frame_digest(frame: PSchauderFrame) -> str:
+    import hashlib  # only digests need it; keeps it out of every CLI start-up
+
     return hashlib.sha256(frame_json(frame).encode()).hexdigest()
 
 
@@ -137,6 +177,12 @@ def load_frame(path) -> PSchauderFrame:
     except json.JSONDecodeError as exc:
         raise FrameError(f"not a JSON frame file: {exc}") from None
     return frame_from_obj(obj)
+
+
+def json_number(value: float):
+    """A report number that stays strictly JSON: non-finite values become
+    the labels ``"unbounded"`` / ``"-unbounded"``."""
+    return value if math.isfinite(value) else ("unbounded" if value > 0 else "-unbounded")
 
 
 def vector_to_obj(x: np.ndarray, field: str) -> list:

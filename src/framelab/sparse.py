@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frame_io import frame_digest, frame_to_obj, vector_to_obj
+from .frame_io import frame_digest, frame_to_obj, json_number, vector_to_obj
 from .frames import (
     COMPLEX,
     CoefficientFunction,
@@ -371,11 +371,6 @@ def _light_supports(weights: np.ndarray, threshold: float) -> list[tuple[int, ..
     return sorted(light, key=lambda s: (len(s), s))
 
 
-def _json_number(value: float):
-    # keep reports strictly JSON: non-finite values become labels
-    return value if math.isfinite(value) else ("unbounded" if value > 0 else "-unbounded")
-
-
 def conjecture_probe(
     frame: PSchauderFrame,
     trials: int,
@@ -415,8 +410,8 @@ def conjecture_probe(
         "eps_residual_policy": "1e-8 * l2(target) when eps_residual is null",
         "coherence_all_pairs": coh_all,
         "coherence_distinct_vectors": coh_distinct,
-        "threshold_all_pairs": _json_number(thr_all),
-        "threshold_distinct_vectors": _json_number(thr_distinct),
+        "threshold_all_pairs": json_number(thr_all),
+        "threshold_distinct_vectors": json_number(thr_distinct),
         "frame_sha256": frame_digest(frame),
     }
     if not feasible:
@@ -462,7 +457,7 @@ def conjecture_probe(
             "recovered_support": list(solution.support),
             "recovered_weight": solution.support_weight,
             "unique": solution.unique,
-            "residual": _json_number(solution.residual),
+            "residual": json_number(solution.residual),
             "confirmed": confirmed,
         }
         records.append(record)

@@ -6,6 +6,7 @@ are taken over the complete table.
 """
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -139,6 +140,19 @@ def legacy_encode_values(values, field):
     if field == "complex":
         return [[float(z.real), float(z.imag)] for z in values]
     return [float(np.real(z)) for z in values]
+
+
+# ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the frame-file writer as it was before ``frame_json``
+# wrote the canonical text directly.  The layout contract of frame files
+# is defined as these bytes; test_frame_io.py requires the writer and the
+# digest to reproduce them.
+
+
+def legacy_frame_json(frame):
+    from framelab.frame_io import frame_to_obj
+
+    return json.dumps(frame_to_obj(frame), indent=2)
 
 
 # ---------------------------------------------------------------------------

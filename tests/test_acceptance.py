@@ -33,7 +33,7 @@ from framelab import (
     support_measure,
     synthesis,
     SparseProblem,
-    uncertainty_check,
+    uncertainty_batch,
     uniqueness_threshold,
     validate_frame,
     weighted_split,
@@ -120,15 +120,15 @@ def test_criterion_2_soundness_sweep():
     for pair_index, (key, name_f, ff, name_g, fg) in enumerate(pairs):
         d, _, field = key
         rng = np.random.default_rng(1000 + pair_index)
-        for _ in range(vectors_per_pair):
+        X = np.zeros((vectors_per_pair, d), dtype=complex if field == "complex" else float)
+        for x in X:
             k = int(rng.integers(1, d + 1))
             support = rng.choice(d, size=k, replace=False)
-            x = np.zeros(d, dtype=complex if field == "complex" else float)
             if field == "complex":
                 x[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
             else:
                 x[support] = rng.standard_normal(k)
-            rep = uncertainty_check(ff, fg, x, eps=0.0)
+        for rep in uncertainty_batch(ff, fg, X, eps=0.0):
             if not (rep.holds1 and rep.holds2):
                 violations += 1
     elapsed = time.perf_counter() - start

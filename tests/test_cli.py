@@ -152,6 +152,32 @@ def test_coherence_unbounded_threshold(tmp_path, capsys):
     assert json.loads(out)["uniqueness_threshold"] == "unbounded"
 
 
+@pytest.mark.parametrize("which", ["mercedes_benz", "canonical"])
+def test_coherence_threshold_bytes(which, tmp_path, capsys):
+    # finite thresholds print as numbers, the +inf of an orthogonal frame as "unbounded"
+    from framelab import canonical_lp, gram_coherence, mercedes_benz, uniqueness_threshold
+    from framelab.cli import SCHEMA_VERSION
+
+    frame = mercedes_benz() if which == "mercedes_benz" else canonical_lp(3, 2.0)
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    code, out, _ = run_cli("coherence", "--frame", str(path), "--normalized", capsys=capsys)
+    coh, coh_n = gram_coherence(frame), gram_coherence(frame, normalized=True)
+    thr, thr_n = uniqueness_threshold(coh), uniqueness_threshold(coh_n)
+    finite = which == "mercedes_benz"
+    if not finite:
+        assert thr == thr_n == float("inf")
+    expected = {
+        "schema_version": SCHEMA_VERSION,
+        "gram_coherence": coh,
+        "uniqueness_threshold": thr if finite else "unbounded",
+        "gram_coherence_normalized": coh_n,
+        "uniqueness_threshold_normalized": thr_n if finite else "unbounded",
+    }
+    assert code == 0
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
 def test_coherence_pair(dft_files, capsys):
     code, out, _ = run_cli("coherence", "--frame", dft_files[0], "--frame-g", dft_files[1], capsys=capsys)
     assert code == 0

@@ -1,9 +1,29 @@
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framelab import FrameError, frame_digest, frame_from_obj, frame_to_obj, load_frame, save_frame
+import oracles
+from framelab import (
+    FrameError,
+    MeasureSpace,
+    PSchauderFrame,
+    default_zoo,
+    dft_pair,
+    frame_digest,
+    frame_from_obj,
+    frame_json,
+    frame_to_obj,
+    harmonic_discretization,
+    load_frame,
+    mercedes_benz,
+    save_frame,
+    weighted_split,
+)
 
 
 def test_round_trip_reproduces_every_double(zoo_frames, tmp_path):
@@ -131,3 +151,93 @@ def test_numeric_string_complex_parts_still_load_to_the_same_bits():
     obj["atoms"][0]["vector"][0] = [repr(re), im]
     back = frame_from_obj(obj)
     assert back.vectors.tobytes() == frame.vectors.tobytes()
+
+
+# ------------------------------------------------ writer == json.dumps oracle
+
+_EDGE = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0, -2.5e-17]
+
+
+def _hand_built_frames():
+    real = np.array(_EDGE).reshape(4, 2)
+    yield "real_edges_p1.5", PSchauderFrame(
+        MeasureSpace([0.1, 5e-324, 1.7976931348623157e308, 1.0]), 1.5, real, real[::-1], "real"
+    )
+    cplx = real.astype(complex)  # set parts directly: complex arithmetic would lose -0.0
+    cplx.imag = real[::-1]
+    yield "complex_edges_p3", PSchauderFrame(
+        MeasureSpace([0.1, 1e-300, 3.0, 0.5]), 3.0, cplx, -cplx, "complex"
+    )
+    yield "real_d1", PSchauderFrame(MeasureSpace([0.1]), 3.0, [[-0.0]], [[5e-324]], "real")
+    yield "complex_d1", PSchauderFrame(
+        MeasureSpace([0.1, 0.2]),
+        1.5,
+        [[complex(-0.0, 5e-324)], [complex(1e-300, -0.0)]],
+        [[complex(-0.0, 0.1)], [1.0]],
+        "complex",
+    )
+
+
+def _oracle_frames():
+    big = harmonic_discretization(32, 512)
+    yield from default_zoo()
+    yield "harmonic_32x512", big
+    yield "harmonic_32x512_split", weighted_split(big, 7, 2)
+    yield from zip(("dft_pair16_canonical", "dft_pair16_transform"), dft_pair(16))
+    yield "mercedes_benz", mercedes_benz()
+    yield from _hand_built_frames()
+
+
+def _assert_writer_matches_oracle(frame):
+    text = oracles.legacy_frame_json(frame)
+    got = frame_json(frame)
+    if got != text:
+        # a plain == on megabyte strings makes pytest's diff run for minutes
+        at = len(os.path.commonprefix([got, text]))
+        pytest.fail(f"writer differs at char {at}: {got[at - 30:at + 30]!r} != {text[at - 30:at + 30]!r}")
+    assert frame_digest(frame) == hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _oracle_frames()])
+def test_writer_bytes_match_json_dumps_oracle(frame):
+    _assert_writer_matches_oracle(frame)
+
+
+def test_hand_built_frames_carry_the_edge_spellings():
+    text = "".join(frame_json(frame) for _, frame in _hand_built_frames())
+    for spelling in ("-0.0", "5e-324", "1e-300", "1.7976931348623157e+308", "0.1"):
+        assert spelling in text
+
+
+def test_saved_file_is_writer_text_plus_newline(tmp_path):
+    frame = dict(_hand_built_frames())["complex_edges_p3"]
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    assert path.read_bytes() == (oracles.legacy_frame_json(frame) + "\n").encode()
+    back = load_frame(path)
+    assert back.vectors.tobytes() == frame.vectors.tobytes()
+    assert back.space.weights.tobytes() == frame.space.weights.tobytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _random_frames(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 4))
+    field = draw(st.sampled_from(["real", "complex"]))
+    parts = 2 if field == "complex" else 1
+    cells = st.lists(_finite, min_size=2 * n * d * parts, max_size=2 * n * d * parts)
+    values = np.array(draw(cells)).reshape(2, n, d, parts)
+    # a view keeps every part exactly, -0.0 included
+    tables = values.view(np.complex128)[..., 0] if field == "complex" else values[..., 0]
+    weights = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=n, max_size=n))
+    p = draw(st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False))
+    return PSchauderFrame(MeasureSpace(weights), p, tables[0], tables[1], field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=_random_frames())
+def test_writer_matches_oracle_on_random_finite_tables(frame):
+    _assert_writer_matches_oracle(frame)
