@@ -26,8 +26,6 @@ from .frames import (
     ResourceGuardError,
     cross_coherence,
     extremal_search,
-    support_measure,
-    analysis,
     uncertainty_check,
     validate_frame,
 )
@@ -39,20 +37,6 @@ EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 
 SCHEMA_VERSION = 1
-
-CHECK_CSV_COLUMNS = (
-    "schema_version",
-    "supp_f",
-    "supp_g",
-    "lhs1",
-    "lhs2",
-    "coh_fg",
-    "coh_gf",
-    "bound1",
-    "bound2",
-    "holds1",
-    "holds2",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,7 +52,7 @@ def _default_seed(value):
     if value is not None:
         return int(value)
     env = os.environ.get("FRAMELAB_SEED")
-    return int(env) if env else 0
+    return _parse_int(env) if env else 0
 
 
 def _parse_scalar(token: str):
@@ -80,6 +64,13 @@ def _parse_scalar(token: str):
         return float(token)
     except ValueError:
         raise FrameError(f"not a number: {token!r}") from None
+
+
+def _parse_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise FrameError(f"not an integer: {token!r}") from None
 
 
 def _parse_inline_vector(text: str) -> np.ndarray:
@@ -107,10 +98,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _bool_word(flag: bool) -> str:
-    return "true" if flag else "false"
-
-
 # ----------------------------------------------------------------- gen ---
 
 
@@ -118,7 +105,7 @@ KIND_ALIASES = {"harmonic": "harmonic_discretization", "dft": "dft_pair"}
 
 
 def _spec_from_args(args) -> zoo.FrameSpec:
-    perm = tuple(int(t) for t in args.perm.split(",")) if args.perm else None
+    perm = tuple(_parse_int(t) for t in args.perm.split(",")) if args.perm else None
     signs = tuple(_parse_scalar(t) for t in args.signs.split(",")) if args.signs else None
     kind = args.kind.replace("-", "_")
     return zoo.FrameSpec(
@@ -148,7 +135,7 @@ def cmd_gen(args) -> int:
         written = [str(out)]
     else:
         stem = out.with_suffix("") if out.suffix == ".json" else out
-        paths = [Path(f"{stem}_canonical.json"), Path(f"{stem}_transform.json")]
+        paths = [Path(f"{stem}_{suffix}.json") for suffix in zoo.PAIR_SUFFIXES]
         for frame, path in zip(frames, paths):
             frame_io.save_frame(frame, path)
         written = [str(p) for p in paths]
@@ -162,16 +149,9 @@ def cmd_gen(args) -> int:
 def cmd_validate(args) -> int:
     frame = frame_io.load_frame(args.frame)
     report = validate_frame(frame, trials=args.trials, tol=args.tol, rng_seed=_default_seed(args.seed))
-    _emit(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "trials": report.trials,
-            "tol": report.tol,
-            "max_isometry_residual": report.max_isometry_residual,
-            "max_reconstruction_residual": report.max_reconstruction_residual,
-            "passes": report.passes,
-        }
-    )
+    out = {"schema_version": SCHEMA_VERSION, **vars(report)}
+    del out["rng_seed"]  # not in the row: it is --seed or FRAMELAB_SEED
+    _emit(out)
     if not report.passes:
         print("frame axioms violated beyond tolerance", file=sys.stderr)
         return EXIT_DOMAIN
@@ -210,26 +190,11 @@ def cmd_check(args) -> int:
     frame_g = frame_io.load_frame(args.frame_g)
     x = _load_vector(args.x, args.x_file, frame_f.field)
     report = uncertainty_check(frame_f, frame_g, x, eps=args.eps)
-    row = {
-        "schema_version": SCHEMA_VERSION,
-        "supp_f": report.supp_f,
-        "supp_g": report.supp_g,
-        "lhs1": report.lhs1,
-        "lhs2": report.lhs2,
-        "coh_fg": report.coh_fg,
-        "coh_gf": report.coh_gf,
-        "bound1": report.bound1,
-        "bound2": report.bound2,
-        "holds1": report.holds1,
-        "holds2": report.holds2,
-    }
+    row = {"schema_version": SCHEMA_VERSION, **vars(report)}
     if args.format == "csv":
-        print(",".join(CHECK_CSV_COLUMNS))
-        cells = [
-            repr(row[c]) if isinstance(row[c], float) else _bool_word(row[c]) if isinstance(row[c], bool) else str(row[c])
-            for c in CHECK_CSV_COLUMNS
-        ]
-        print(",".join(cells))
+        # repr, not json.dumps, for floats: a non-finite bound reads "inf"
+        print(",".join(row))
+        print(",".join(repr(v) if isinstance(v, float) else json.dumps(v) for v in row.values()))
     else:
         _emit(row)
     return EXIT_OK
@@ -267,17 +232,8 @@ def cmd_extremal(args) -> int:
 
 
 def _solution_obj(frame, solution, mode: str) -> dict:
-    out = {
-        "schema_version": SCHEMA_VERSION,
-        "mode": mode,
-        "status": solution.status,
-        "support": list(solution.support),
-        "support_cardinality": solution.support_cardinality,
-        "support_weight": solution.support_weight,
-        "residual": solution.residual if np.isfinite(solution.residual) else "inf",
-        "unique": solution.unique,
-        "coefficients": None,
-    }
+    out = {"schema_version": SCHEMA_VERSION, "mode": mode, **vars(solution)}
+    out["residual"] = solution.residual if np.isfinite(solution.residual) else "inf"
     if solution.coefficients is not None:
         out["coefficients"] = frame_io.vector_to_obj(solution.coefficients.values, frame.field)
     return out

@@ -431,10 +431,11 @@ def uncertainty_check(
     return _uncertainty_rows(frame_f, frame_g, _as_input_vector(frame_f, x)[None, :], eps)[0]
 
 
-# Hard cap on the scalars one random-vector table may hold: trials x
-# max(n_atoms, dimension) for ``validate_frame``, count x dimension for
-# ``random_vectors``.  At 10^7 a complex table takes 160 MB; larger requests
-# are refused before anything is allocated.
+# Hard cap on the scalars any one table may hold: trials x max(n_atoms,
+# dimension) for ``validate_frame``, count x dimension for ``random_vectors``,
+# and atoms x dimension for each table a zoo constructor sizes from its integer
+# arguments.  At 10^7 a complex table takes 160 MB; larger requests are
+# refused before anything is allocated.
 VALIDATION_GUARD = 10_000_000
 
 

@@ -153,7 +153,7 @@ def _padded_solution(
     residual: float,
     unique: bool,
 ) -> SparseSolution:
-    values = np.zeros(frame.n_atoms, dtype=_synthesis_columns(frame).dtype)
+    values = np.zeros(frame.n_atoms, dtype=frame.vectors.dtype)
     values[list(support)] = coeff
     nonzero = tuple(int(i) for i in np.flatnonzero(values != 0))
     return SparseSolution(

@@ -17,19 +17,12 @@ from .frames import (
     FrameError,
     MeasureSpace,
     PSchauderFrame,
+    _check_table_guard,
     counting_measure,
 )
 
-FRAME_KINDS = (
-    "canonical_lp",
-    "signed_permutation",
-    "dft_pair",
-    "random_parseval",
-    "harmonic_discretization",
-    "alternate_dual",
-    "weighted_split",
-    "mercedes_benz",
-)
+# Name suffixes of the two frames a pair kind (dft_pair) yields.
+PAIR_SUFFIXES = ("canonical", "transform")
 
 
 def canonical_lp(d: int, p: float, field: str = REAL) -> PSchauderFrame:
@@ -37,17 +30,23 @@ def canonical_lp(d: int, p: float, field: str = REAL) -> PSchauderFrame:
     counting measure."""
     if d < 1:
         raise FrameError("dimension must be at least 1")
+    _check_table_guard(d, d)
     eye = np.eye(d)
     return PSchauderFrame(counting_measure(d), p, eye, eye, field)
 
 
-def signed_permutation(d: int, p: float, permutation, signs) -> PSchauderFrame:
+def signed_permutation(d: int, p: float, permutation=None, signs=None) -> PSchauderFrame:
     """Isometry-of-coordinates frame: atom i carries ``signs[i] * e_perm[i]``
-    as its vector and the conjugate sign on the same coordinate functional."""
-    perm = np.asarray(permutation, dtype=int)
-    sgn = np.asarray(signs)
+    as its vector and the conjugate sign on the same coordinate functional.
+    The permutation defaults to the identity and the signs to all ones."""
+    _check_table_guard(d, d)
+    # No dtype yet: an integer beyond the C range must fail the bijection
+    # check, not overflow the conversion.
+    perm = np.asarray(permutation if permutation is not None else range(d))
+    sgn = np.asarray(signs if signs is not None else [1.0] * d)
     if perm.shape != (d,) or sorted(perm.tolist()) != list(range(d)):
         raise FrameError("permutation must be a bijection of 0..d-1")
+    perm = perm.astype(int)
     if sgn.shape != (d,):
         raise FrameError("one unimodular sign per atom required")
     if np.any(np.abs(np.abs(sgn) - 1.0) > 1e-12):
@@ -68,6 +67,7 @@ def dft_pair(d: int) -> tuple[PSchauderFrame, PSchauderFrame]:
     ``exp(-2j*pi*j*k/d)/sqrt(d)``); cross-coherence is 1/sqrt(d)."""
     if d < 1:
         raise FrameError("dimension must be at least 1")
+    _check_table_guard(d, d)
     first = canonical_lp(d, 2.0, COMPLEX)
     j = np.arange(d)
     vectors = np.exp(-2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
@@ -88,6 +88,7 @@ def harmonic_discretization(d: int, N: int, normalize: bool = False) -> PSchaude
         raise FrameError(f"N must be >= d (got N={N}, d={d})")
     if d < 1:
         raise FrameError("dimension must be at least 1")
+    _check_table_guard(N, d)
     k = np.arange(N)
     vectors = np.exp(2j * np.pi * np.outer(k, np.arange(d)) / N)
     weights = np.full(N, 1.0 / N)
@@ -105,6 +106,9 @@ def random_parseval(d: int, n: int, seed: int = 0, field: str = REAL) -> PSchaud
     """
     if n < d:
         raise FrameError("need at least as many atoms as dimensions")
+    if d < 1:
+        raise FrameError("dimension must be at least 1")
+    _check_table_guard(n, d)
     rng = np.random.default_rng(seed)
     if field == COMPLEX:
         raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
@@ -184,6 +188,7 @@ def weighted_split(frame: PSchauderFrame, atom: int, parts: int = 2) -> PSchaude
         raise FrameError(f"atom index {atom} out of range for {n} atoms")
     if parts < 2:
         raise FrameError("parts must be at least 2")
+    _check_table_guard(n - 1 + parts, frame.dimension)
     w = frame.space.weights
     share = w[atom] / parts
     copies = np.full(parts, share)
@@ -237,43 +242,34 @@ class FrameSpec:
     base: "FrameSpec | None" = None
 
 
-def _require(value, name: str, kind: str):
-    if value is None:
-        raise FrameError(f"kind {kind!r} requires parameter {name!r}")
-    return value
+# Kind -> (FrameSpec fields it requires, constructor over (spec, base_frame)),
+# in catalogue order.  A constructor returns one frame or a pair; a kind that
+# requires ``base`` is derived from an input frame.
+_KINDS = {
+    "canonical_lp": (("d",), lambda s, b: canonical_lp(s.d, s.p, s.field)),
+    "signed_permutation": (("d",), lambda s, b: signed_permutation(s.d, s.p, s.permutation, s.signs)),
+    "dft_pair": (("d",), lambda s, b: dft_pair(s.d)),
+    "random_parseval": (("d", "n"), lambda s, b: random_parseval(s.d, s.n, s.seed, s.field)),
+    "harmonic_discretization": (("d", "N"), lambda s, b: harmonic_discretization(s.d, s.N, s.normalize)),
+    "alternate_dual": (("base",), lambda s, b: alternate_dual(b, s.seed, s.scale)),
+    "weighted_split": (("base",), lambda s, b: weighted_split(b, s.split_index, s.split_count)),
+    "mercedes_benz": ((), lambda s, b: mercedes_benz()),
+}
+FRAME_KINDS = tuple(_KINDS)
 
 
 def build_frames(spec: FrameSpec, base_frame: PSchauderFrame | None = None) -> tuple[PSchauderFrame, ...]:
     """Materialize a spec; returns one frame, or two for ``dft_pair``."""
-    kind = spec.kind
-    if kind not in FRAME_KINDS:
-        raise FrameError(f"unknown frame kind {kind!r}")
-    if kind == "canonical_lp":
-        return (canonical_lp(_require(spec.d, "d", kind), spec.p, spec.field),)
-    if kind == "signed_permutation":
-        d = _require(spec.d, "d", kind)
-        perm = spec.permutation if spec.permutation is not None else tuple(range(d))
-        signs = spec.signs if spec.signs is not None else tuple([1.0] * d)
-        return (signed_permutation(d, spec.p, perm, signs),)
-    if kind == "dft_pair":
-        return dft_pair(_require(spec.d, "d", kind))
-    if kind == "random_parseval":
-        return (
-            random_parseval(_require(spec.d, "d", kind), _require(spec.n, "n", kind), spec.seed, spec.field),
-        )
-    if kind == "harmonic_discretization":
-        return (
-            harmonic_discretization(_require(spec.d, "d", kind), _require(spec.N, "N", kind), spec.normalize),
-        )
-    if kind == "mercedes_benz":
-        return (mercedes_benz(),)
-    # Derived kinds below need an input frame.
-    if base_frame is None:
-        base_spec = _require(spec.base, "base", kind)
-        base_frame = build_frames(base_spec)[0]
-    if kind == "alternate_dual":
-        return (alternate_dual(base_frame, spec.seed, spec.scale),)
-    return (weighted_split(base_frame, spec.split_index, spec.split_count),)
+    if spec.kind not in _KINDS:
+        raise FrameError(f"unknown frame kind {spec.kind!r}")
+    required, construct = _KINDS[spec.kind]
+    for name in required:
+        if getattr(spec, name) is None and not (name == "base" and base_frame is not None):
+            raise FrameError(f"kind {spec.kind!r} requires parameter {name!r}")
+    if "base" in required and base_frame is None:
+        base_frame = build_frames(spec.base)[0]
+    frames = construct(spec, base_frame)
+    return frames if isinstance(frames, tuple) else (frames,)
 
 
 def default_specs() -> list[tuple[str, FrameSpec]]:
@@ -319,6 +315,5 @@ def default_zoo() -> list[tuple[str, PSchauderFrame]]:
         if len(frames) == 1:
             out.append((name, frames[0]))
         else:
-            out.append((f"{name}_canonical", frames[0]))
-            out.append((f"{name}_transform", frames[1]))
+            out.extend((f"{name}_{suffix}", frame) for suffix, frame in zip(PAIR_SUFFIXES, frames))
     return out

@@ -296,3 +296,84 @@ def legacy_cue_sweep_rows(zoo, vectors, seed):
                     f"{violations},{min_slack1!r},{min_slack2!r}"
                 )
     return rows
+
+
+# ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the CLI report rows as they were when ``cli`` copied each
+# field of ``UncertaintyReport``, ``ValidationReport`` and ``SparseSolution``
+# by hand.  The rows are
+# now derived from the records; test_cli.py requires the same bytes.
+
+LEGACY_CHECK_CSV_COLUMNS = (
+    "schema_version",
+    "supp_f",
+    "supp_g",
+    "lhs1",
+    "lhs2",
+    "coh_fg",
+    "coh_gf",
+    "bound1",
+    "bound2",
+    "holds1",
+    "holds2",
+)
+
+
+def legacy_check_row(report):
+    return {
+        "schema_version": 1,
+        "supp_f": report.supp_f,
+        "supp_g": report.supp_g,
+        "lhs1": report.lhs1,
+        "lhs2": report.lhs2,
+        "coh_fg": report.coh_fg,
+        "coh_gf": report.coh_gf,
+        "bound1": report.bound1,
+        "bound2": report.bound2,
+        "holds1": report.holds1,
+        "holds2": report.holds2,
+    }
+
+
+def legacy_check_stdout(report, fmt):
+    row = legacy_check_row(report)
+    if fmt == "json":
+        return json.dumps(row, indent=2) + "\n"
+
+    def cell(v):
+        if isinstance(v, float):
+            return repr(v)
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        return str(v)
+
+    return ",".join(LEGACY_CHECK_CSV_COLUMNS) + "\n" + ",".join(cell(row[c]) for c in LEGACY_CHECK_CSV_COLUMNS) + "\n"
+
+
+def legacy_validate_stdout(report):
+    row = {
+        "schema_version": 1,
+        "trials": report.trials,
+        "tol": report.tol,
+        "max_isometry_residual": report.max_isometry_residual,
+        "max_reconstruction_residual": report.max_reconstruction_residual,
+        "passes": report.passes,
+    }
+    return json.dumps(row, indent=2) + "\n"
+
+
+def legacy_sparse_stdout(frame, solution, mode):
+    out = {
+        "schema_version": 1,
+        "mode": mode,
+        "status": solution.status,
+        "support": list(solution.support),
+        "support_cardinality": solution.support_cardinality,
+        "support_weight": solution.support_weight,
+        "residual": solution.residual if np.isfinite(solution.residual) else "inf",
+        "unique": solution.unique,
+        "coefficients": None,
+    }
+    if solution.coefficients is not None:
+        out["coefficients"] = legacy_encode_values(solution.coefficients.values, frame.field)
+    return json.dumps(out, indent=2) + "\n"

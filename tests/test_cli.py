@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,8 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from framelab import default_specs, load_frame, save_frame
+import oracles
+from framelab import FRAME_KINDS, default_specs, load_frame, mercedes_benz, save_frame
 from framelab.cli import main
 
 
@@ -31,6 +36,8 @@ def test_gen_writes_two_files_for_fourier_pair(dft_files):
     assert len(dft_files) == 2
     for path in dft_files:
         assert Path(path).exists()
+    assert [Path(p).name for p in dft_files] == ["dft_canonical.json", "dft_transform.json"]
+    assert np.array_equal(load_frame(dft_files[0]).vectors, np.eye(4))
 
 
 def test_gen_harmonic_weights(tmp_path, capsys):
@@ -89,6 +96,96 @@ def test_gen_then_validate_round_trip_for_every_spec(tmp_path, capsys):
             assert code == 0, (name, err)
 
 
+# Flags that satisfy every parameter each kind requires; the derived kinds
+# take their input frame from a file.
+GEN_REQUIRED = {
+    "canonical_lp": {"d": ["--d", "3"]},
+    "signed_permutation": {"d": ["--d", "3"]},
+    "dft_pair": {"d": ["--d", "4"]},
+    "random_parseval": {"d": ["--d", "2"], "n": ["--n", "4"]},
+    "harmonic_discretization": {"d": ["--d", "2"], "N": ["--N", "4"]},
+    "alternate_dual": {"base": ["--base", None]},
+    "weighted_split": {"base": ["--base", None]},
+    "mercedes_benz": {},
+}
+
+
+def _gen_flags(fields, base_path):
+    return [base_path if v is None else v for flags in fields.values() for v in flags]
+
+
+def test_frame_kinds_keep_their_catalogue_order():
+    # the order of the gen --kind choices
+    assert FRAME_KINDS == tuple(GEN_REQUIRED)
+
+
+@pytest.mark.parametrize("kind", FRAME_KINDS)
+def test_gen_accepts_every_kind_spelling(kind, tmp_path, capsys):
+    base = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), base)
+    aliases = {"dft": "dft_pair", "harmonic": "harmonic_discretization"}
+    spellings = [kind.replace("_", "-")] + [alias for alias, full in aliases.items() if full == kind]
+    for spelling in spellings:
+        argv = ["gen", "--kind", spelling, *_gen_flags(GEN_REQUIRED[kind], str(base))]
+        code, out, err = run_cli(*argv, "--out", str(tmp_path / f"{spelling}.json"), capsys=capsys)
+        assert code == 0, (spelling, err)
+        assert len(json.loads(out)["written"]) == (2 if kind == "dft_pair" else 1)
+
+
+@pytest.mark.parametrize(
+    "kind,field", [(kind, field) for kind, fields in GEN_REQUIRED.items() for field in fields]
+)
+def test_gen_missing_required_parameter(kind, field, tmp_path, capsys):
+    base = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), base)
+    kept = {name: flags for name, flags in GEN_REQUIRED[kind].items() if name != field}
+    argv = ["gen", "--kind", kind.replace("_", "-"), *_gen_flags(kept, str(base)), "--out", str(tmp_path / "o.json")]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: kind '{kind}' requires parameter '{field}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--kind", "signed-permutation", "--d", "3", "--perm", "a,b,c"], "error: not an integer: 'a'"),
+        (["--kind", "signed-permutation", "--d", "3", "--perm", ",1"], "error: not an integer: ''"),
+        (["--kind", "signed-permutation", "--d", "3", "--perm", "0,1,99999999999999999999"],
+         "error: permutation must be a bijection of 0..d-1"),
+        (["--kind", "random-parseval", "--d", "-1", "--n", "3"], "error: dimension must be at least 1"),
+    ],
+)
+def test_gen_malformed_input_is_one_line_domain_error(argv, message, tmp_path, capsys):
+    code, out, err = run_cli("gen", *argv, "--out", str(tmp_path / "o.json"), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message + "\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "weighted-split", "--split-count", str(10**20)],
+        ["--kind", "weighted-split", "--split-count", str(10**8)],
+        ["--kind", "harmonic", "--d", "4", "--N", str(10**9)],
+        ["--kind", "dft", "--d", str(10**5)],
+        ["--kind", "canonical-lp", "--d", str(10**5)],
+        ["--kind", "signed-permutation", "--d", str(10**5)],
+        ["--kind", "random-parseval", "--d", "4", "--n", str(10**8)],
+    ],
+)
+def test_gen_table_guard_refuses_without_allocating(argv, tmp_path, capsys):
+    # every table here is at least 10x over the guard, refused arithmetically
+    base = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), base)
+    code, out, err = run_cli("gen", *argv, "--base", str(base), "--out", str(tmp_path / "o.json"), capsys=capsys)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("resource guard: ")
+
+
 # ------------------------------------------------------------- validate
 
 
@@ -104,6 +201,20 @@ def test_validate_reports_and_fails_on_broken_frame(tmp_path, capsys):
     code, out, _ = run_cli("validate", "--frame", str(path), capsys=capsys)
     assert code == 2
     assert not json.loads(out)["passes"]
+
+
+@pytest.mark.parametrize("broken", [False, True])
+def test_validate_stdout_bytes(broken, tmp_path, capsys):
+    from framelab import MeasureSpace, PSchauderFrame, validate_frame, weighted_split
+
+    frame = weighted_split(mercedes_benz(), 1, 3)
+    if broken:
+        frame = PSchauderFrame(MeasureSpace(frame.space.weights * 2), 2.0, frame.functionals, frame.vectors)
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    code, out, _ = run_cli("validate", "--frame", str(path), "--trials", "200", "--seed", "5", capsys=capsys)
+    assert code == (2 if broken else 0)
+    assert out == oracles.legacy_validate_stdout(validate_frame(frame, trials=200, tol=1e-9, rng_seed=5))
 
 
 def test_validate_malformed_complex_scalar_is_one_line_domain_error(dft_files, tmp_path, capsys):
@@ -212,6 +323,34 @@ def test_check_csv_format(dft_files, capsys):
     assert cells[-1] == "true" and cells[-2] == "true"
     # floats round-trip through repr
     assert float(cells[1]) == 2.0
+
+
+def _check_pair(name):
+    from framelab import alternate_dual, dft_pair
+
+    if name == "dft4":
+        return (*dft_pair(4), "1,0,1,0")  # the picket fence
+    mb = mercedes_benz()
+    return mb, alternate_dual(mb, seed=11), "0.3,-1"
+
+
+@pytest.mark.parametrize("pair", ["dft4", "mercedes"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_check_stdout_bytes(pair, fmt, tmp_path, capsys):
+    from framelab import uncertainty_check
+
+    frame_f, frame_g, text = _check_pair(pair)
+    path_f, path_g = tmp_path / "f.json", tmp_path / "g.json"
+    save_frame(frame_f, path_f)
+    save_frame(frame_g, path_g)
+    code, out, err = run_cli(
+        "check", "--frame-f", str(path_f), "--frame-g", str(path_g), "--x", text, "--format", fmt, capsys=capsys
+    )
+    assert code == 0 and err == ""
+    x = np.array([float(t) for t in text.split(",")])
+    assert out == oracles.legacy_check_stdout(uncertainty_check(frame_f, frame_g, x, eps=1e-9), fmt)
+    if fmt == "csv":
+        assert out.splitlines()[0] == "schema_version,supp_f,supp_g,lhs1,lhs2,coh_fg,coh_gf,bound1,bound2,holds1,holds2"
 
 
 def test_check_rejects_zero_vector(dft_files, capsys):
@@ -355,6 +494,34 @@ def test_sparse_infeasible_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+@pytest.mark.parametrize("case", ["complex_l0", "complex_measure", "infeasible"])
+def test_sparse_stdout_bytes(case, tmp_path, capsys):
+    # frame files round-trip bit-exactly, so the in-memory frame solves alike
+    from framelab import SparseProblem, canonical_lp, l0_brute_force, measure_min_brute_force, random_parseval
+
+    if case == "infeasible":
+        frame, text, target, mode, extra = canonical_lp(2, 2.0), "1,1", np.array([1.0, 1.0]), "l0", ["--max-card", "0"]
+    else:
+        frame = random_parseval(3, 5, seed=7, field="complex")
+        text, target, extra = "1:2,0:-1,0.5:0.25", np.array([1 + 2j, -1j, 0.5 + 0.25j]), []
+        mode = case.split("_")[1]
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    code, out, _ = run_cli("sparse", "--frame", str(path), "--target", text, "--mode", mode, *extra, capsys=capsys)
+    problem = SparseProblem(frame, target)
+    if mode == "l0":
+        solution = l0_brute_force(problem, max_card=0 if extra else None)
+    else:
+        solution = measure_min_brute_force(problem)
+    assert out == oracles.legacy_sparse_stdout(frame, solution, mode)
+    if case == "infeasible":
+        assert code == 3
+        assert '"residual": "inf"' in out and '"coefficients": null' in out
+    else:
+        assert code == 0
+        assert all(len(c) == 2 for c in json.loads(out)["coefficients"])  # [re, im] pairs
+
+
 def test_sparse_rejects_non_numeric_inline_target(tmp_path, capsys):
     from framelab import canonical_lp
 
@@ -432,6 +599,14 @@ def test_env_seed_used_when_flag_absent(tmp_path, capsys, monkeypatch):
     assert c.read_bytes() != a.read_bytes()
 
 
+def test_non_integer_env_seed_is_one_line_domain_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FRAMELAB_SEED", "abc")
+    code, out, err = run_cli("gen", "--kind", "mercedes-benz", "--out", str(tmp_path / "mb.json"), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: not an integer: 'abc'\n"
+
+
 def test_console_entry_point_runs(tmp_path):
     out = tmp_path / "mb_cli.json"
     result = subprocess.run(
@@ -442,3 +617,45 @@ def test_console_entry_point_runs(tmp_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["written"] == [str(out)]
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    from framelab import mercedes_benz
+
+    path = tmp_path_factory.mktemp("fuzz") / "mb.json"
+    save_frame(mercedes_benz(), path)
+    return path
+
+
+_GEN_SPELLINGS = [k.replace("_", "-") for k in FRAME_KINDS] + ["dft", "harmonic", "banana"]
+_TOKENS = st.lists(st.sampled_from(["0", "1", "2", "-1", "", " 1", "x", "1.5", "0:1", "nan", "99999999999999999999"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(_GEN_SPELLINGS),
+    ints=st.fixed_dictionaries(
+        {},
+        optional={flag: st.integers(-3, 8) for flag in ("--d", "--N", "--n", "--split-index", "--split-count")},
+    ),
+    perm=st.none() | _TOKENS,
+    signs=st.none() | _TOKENS,
+    with_base=st.booleans(),
+    field=st.sampled_from(["real", "complex"]),
+)
+def test_gen_fuzz_never_raises(fuzz_base, kind, ints, perm, signs, with_base, field):
+    argv = ["gen", "--kind", kind, "--field", field, "--out", str(fuzz_base.with_name("out.json"))]
+    for flag, value in ints.items():
+        argv += [flag, str(value)]
+    for flag, tokens in (("--perm", perm), ("--signs", signs)):
+        if tokens is not None:
+            argv += [flag, ",".join(tokens)]
+    if with_base:
+        argv += ["--base", str(fuzz_base)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4)

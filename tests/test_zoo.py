@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import (
+    VALIDATION_GUARD,
     FrameError,
     FrameSpec,
+    ResourceGuardError,
     analysis,
     alternate_dual,
     build_frames,
@@ -84,6 +86,15 @@ def test_signed_permutation_rejects_bad_input():
         signed_permutation(3, 2.0, (0, 0, 1), (1.0, 1.0, 1.0))
     with pytest.raises(FrameError):
         signed_permutation(2, 2.0, (0, 1), (2.0, 1.0))
+    # an integer beyond the C range fails the bijection check, not the cast
+    with pytest.raises(FrameError, match="bijection"):
+        signed_permutation(3, 2.0, (0, 1, 10**20), (1.0, 1.0, 1.0))
+
+
+def test_signed_permutation_defaults_to_identity_and_unit_signs():
+    frame = signed_permutation(3, 2.0)
+    assert np.array_equal(frame.vectors, canonical_lp(3, 2.0).vectors)
+    assert frame.field == "real"
 
 
 # ---------------------------------------------------------------- fourier
@@ -167,6 +178,12 @@ def test_random_parseval_complex_field():
 def test_random_parseval_needs_redundancy():
     with pytest.raises(FrameError):
         random_parseval(4, 3)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_random_parseval_rejects_bad_dimension(d):
+    with pytest.raises(FrameError, match="dimension must be at least 1"):
+        random_parseval(d, 3)
 
 
 # ---------------------------------------------------------- mercedes benz
@@ -342,6 +359,54 @@ def test_build_frames_requires_parameters():
         build_frames(FrameSpec("canonical_lp"))
     with pytest.raises(FrameError):
         build_frames(FrameSpec("weighted_split"))
+
+
+@pytest.mark.parametrize(
+    "spec,missing",
+    [
+        (FrameSpec("canonical_lp"), "d"),
+        (FrameSpec("random_parseval"), "d"),
+        (FrameSpec("random_parseval", d=2), "n"),
+        (FrameSpec("harmonic_discretization", N=8), "d"),
+        (FrameSpec("harmonic_discretization", d=2), "N"),
+        (FrameSpec("alternate_dual"), "base"),
+        (FrameSpec("weighted_split"), "base"),
+    ],
+)
+def test_build_frames_names_the_first_missing_parameter(spec, missing):
+    with pytest.raises(FrameError) as excinfo:
+        build_frames(spec)
+    assert str(excinfo.value) == f"kind {spec.kind!r} requires parameter {missing!r}"
+
+
+def test_build_frames_derived_kind_takes_an_explicit_base():
+    mb = mercedes_benz()
+    (split,) = build_frames(FrameSpec("weighted_split"), mb)
+    assert np.array_equal(split.space.weights, weighted_split(mb, 0, 2).space.weights)
+
+
+def test_build_frames_refuses_an_empty_permutation():
+    # only a missing permutation defaults to the identity
+    with pytest.raises(FrameError, match="bijection"):
+        build_frames(FrameSpec("signed_permutation", d=3, permutation=()))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: canonical_lp(10**5, 2.0),
+        lambda: signed_permutation(10**5, 2.0),
+        lambda: dft_pair(10**5),
+        lambda: harmonic_discretization(4, 10**9),
+        lambda: random_parseval(4, 10**8),
+        lambda: weighted_split(mercedes_benz(), 0, 10**8),
+        lambda: weighted_split(mercedes_benz(), 0, 10**20),
+    ],
+)
+def test_constructors_refuse_tables_beyond_the_guard(make):
+    # each table is at least 10x over the guard and refused before allocation
+    with pytest.raises(ResourceGuardError, match=str(VALIDATION_GUARD)):
+        make()
 
 
 def test_build_frames_unknown_kind():
