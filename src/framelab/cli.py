@@ -105,8 +105,8 @@ KIND_ALIASES = {"harmonic": "harmonic_discretization", "dft": "dft_pair"}
 
 
 def _spec_from_args(args) -> zoo.FrameSpec:
-    perm = tuple(_parse_int(t) for t in args.perm.split(",")) if args.perm else None
-    signs = tuple(_parse_scalar(t) for t in args.signs.split(",")) if args.signs else None
+    perm = tuple(_parse_int(t) for t in args.perm.split(",")) if args.perm is not None else None
+    signs = tuple(_parse_scalar(t) for t in args.signs.split(",")) if args.signs is not None else None
     kind = args.kind.replace("-", "_")
     return zoo.FrameSpec(
         kind=KIND_ALIASES.get(kind, kind),
@@ -127,7 +127,8 @@ def _spec_from_args(args) -> zoo.FrameSpec:
 
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    base_frame = frame_io.load_frame(args.base) if args.base else None
+    derived = "base" in zoo._KINDS[spec.kind][0]
+    base_frame = frame_io.load_frame(args.base) if args.base and derived else None
     frames = zoo.build_frames(spec, base_frame)
     out = Path(args.out)
     if len(frames) == 1:

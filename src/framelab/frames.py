@@ -446,12 +446,19 @@ def _check_table_guard(rows: int, cols: int) -> None:
         )
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; a negative seed is a domain error."""
+    if seed < 0:
+        raise FrameError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """(count, dimension) array of i.i.d. standard normal entries; complex
     entries are standard complex normal.  Deterministic per seed.  Refuses
     tables beyond ``VALIDATION_GUARD`` scalars."""
     _check_table_guard(count, dimension)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if field == COMPLEX:
         re = rng.standard_normal((count, dimension))
         im = rng.standard_normal((count, dimension))
@@ -554,7 +561,7 @@ def extremal_search(
     if cap < 1:
         raise FrameError("max_card must be at least 1")
 
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     dtype = frame_g.vectors.dtype
     best: UncertaintyReport | None = None
     best_x: np.ndarray | None = None

@@ -6,15 +6,15 @@ supports under an explicit work guard instead of approximating.  A target h
 is "fit" by the support S when the least-squares synthesis restricted to S
 reproduces h within the problem's residual tolerance.
 
-``l0_brute_force`` minimizes the number of active atoms; the companion
-``measure_min_brute_force`` minimizes the total weight of the active atoms,
-which coincides with the count under counting measure.  Both run one search
-over levels of equal objective; the weight levels come from a plan over the
-frame's classes of equal atom weight, so no table of all 2^n supports is
-built.  Fits are screened in batches, and the exact per-support
-least-squares fit makes every decision.  ``conjecture_probe``
-plants random low-weight supports and reports, never asserts, whether
-weight minimization recovers them uniquely.
+``measure_min_brute_force`` minimizes the total weight of the active atoms
+and ``l0_brute_force`` their number, which is the same search over unit
+weights.  Both walk one plan of support levels by (weight, cardinality),
+built over the classes of equal atom weight, so no table of all 2^n
+supports is built; one guard on the support count refuses a plan before
+any of it is built.  Fits are screened in batches, and the exact
+per-support least-squares fit makes every decision.  ``conjecture_probe``
+plans once, plants random low-weight supports and reports, never asserts,
+whether weight minimization recovers them uniquely.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .frames import (
     FrameError,
     PSchauderFrame,
     ResourceGuardError,
+    _seeded_rng,
     synthesis,
 )
 
@@ -179,8 +180,13 @@ def _infeasible() -> SparseSolution:
     )
 
 
-def _weight_plan(weights: np.ndarray):
-    """Every support's (total weight, cardinality), grouped and sorted.
+def _weight_plan(weights: np.ndarray, cap: int):
+    """The supports of at most ``cap`` atoms as levels of equal (total
+    weight, cardinality), in that order.
+
+    The guard comes first: it sums C(n, k) for k = 0..cap and refuses at the
+    first partial total above ``ENUMERATION_GUARD``, so a refusal costs a few
+    small integers at any n and nothing is built.
 
     Atoms of one exact weight form a class.  A support's weight depends only
     on how many atoms it takes from each class, and ``math.fsum`` is correctly
@@ -188,34 +194,42 @@ def _weight_plan(weights: np.ndarray):
     ``fsum`` over any support with those counts.  Returns the class members
     and the sorted list of ``(weight, cardinality, [count vectors])``.
     """
+    n = weights.size
+    total = c = 1
+    for k in range(cap):
+        c = c * (n - k) // (k + 1)
+        total += c
+        if total > ENUMERATION_GUARD:
+            raise ResourceGuardError(
+                f"more than {ENUMERATION_GUARD} candidate supports of at most {cap} of {n} atoms"
+            )
     classes: dict[float, list[int]] = {}
     for i, w in enumerate(weights.tolist()):
         classes.setdefault(w, []).append(i)
     members = list(classes.values())
-    # the summands of every count vector, in itertools.product order
-    terms = [()]
+    # (count vector, summands) rows in itertools.product order, none above cap
+    rows = [((), ())]
     for v, m in zip(classes, members):
-        terms = [t + (v,) * c for t in terms for c in range(len(m) + 1)]
-    counts = itertools.product(*(range(len(m) + 1) for m in members))
+        rows = [(cv + (c,), t + (v,) * c) for cv, t in rows for c in range(min(len(m), cap - len(t)) + 1)]
     groups: dict[tuple[float, int], list[tuple[int, ...]]] = {}
-    for cv, t in zip(counts, terms):
+    for cv, t in rows:
         groups.setdefault((math.fsum(t), len(t)), []).append(cv)
     # flat (float-first) tuples sort fastest; (weight, card) never ties
     return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
 
 
-def _expand(members: list[list[int]], count_vectors) -> list[tuple[int, ...]]:
+def _expand(members: list[list[int]], count_vectors):
     """The supports taking ``counts[j]`` atoms from class j, for any of the
-    given count vectors, in lexicographic order."""
-    supports = [
+    given count vectors, in lexicographic order.  A level drawn from one
+    class streams that class's combinations, which are already in order."""
+    drawn = [[(m, c) for m, c in zip(members, counts) if c] for counts in count_vectors]
+    if len(drawn) == 1 and len(drawn[0]) == 1:
+        return itertools.combinations(*drawn[0][0])
+    return sorted(
         tuple(sorted(itertools.chain.from_iterable(parts)))
-        for counts in count_vectors
-        for parts in itertools.product(
-            *(itertools.combinations(m, c) for m, c in zip(members, counts) if c)
-        )
-    ]
-    supports.sort()
-    return supports
+        for pairs in drawn
+        for parts in itertools.product(*(itertools.combinations(m, c) for m, c in pairs))
+    )
 
 
 def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
@@ -237,15 +251,14 @@ def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) ->
     return [s for s, r in zip(supports, residual.tolist()) if not r > bar]
 
 
-def _walk(problem: SparseProblem, levels) -> SparseSolution:
-    """Shared exhaustive search of both solvers.
+def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolution:
+    """Shared exhaustive search of both solvers and every probe trial.
 
-    ``levels`` yields ``(objective, supports)`` in visiting order, the
-    supports of one level sharing a cardinality.  The search stops after the
-    last level of the first objective value that has a fit; ``unique`` is
-    true when no second support of that value also fits.  Supports are
-    screened in chunks and every survivor is decided, in order, by the exact
-    ``_restricted_fit``.
+    Visits the levels of a ``_weight_plan`` in order, expanding each one
+    when it is reached.  The search stops after the last level of the first
+    weight that has a fit; ``unique`` is true when no second support of that
+    weight also fits.  Supports are screened in chunks and every survivor is
+    decided, in order, by the exact ``_restricted_fit``.
     """
     frame, target = problem.frame, problem.target
     tol = problem.resolved_tolerance()
@@ -253,10 +266,10 @@ def _walk(problem: SparseProblem, levels) -> SparseSolution:
     cols = _synthesis_columns(frame)
     chunk_size = max(2, min(_SCREEN_CHUNK, _SCREEN_ENTRIES // cols.size))  # d * k <= cols.size
     first = best = None
-    for objective, supports in levels:
+    for objective, _, count_vectors in plan:
         if first is not None and objective != best:
             break
-        stream = iter(supports)
+        stream = iter(_expand(members, count_vectors))
         while chunk := list(itertools.islice(stream, chunk_size)):
             for support in _screen(cols, target, chunk, bar):
                 coeff, residual = _restricted_fit(cols, support, target)
@@ -270,7 +283,7 @@ def _walk(problem: SparseProblem, levels) -> SparseSolution:
 
 
 def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> SparseSolution:
-    """Minimize the number of active atoms by exhaustive support search.
+    """Minimize the number of active atoms: the weight search over unit weights.
 
     Supports are visited by increasing cardinality, lexicographic within a
     cardinality, so the returned solution is deterministic.  ``unique`` is
@@ -280,12 +293,7 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
     cap = n if max_card is None else int(max_card)
     if not 0 <= cap <= n:
         raise FrameError("max_card must lie in 0..n_atoms")
-    total = sum(math.comb(n, k) for k in range(cap + 1))
-    if total > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"{total} candidate supports exceed the guard of {ENUMERATION_GUARD}"
-        )
-    return _walk(problem, ((k, itertools.combinations(range(n), k)) for k in range(cap + 1)))
+    return _walk(problem, *_weight_plan(np.ones(n), cap))
 
 
 def measure_min_brute_force(problem: SparseProblem) -> SparseSolution:
@@ -296,13 +304,7 @@ def measure_min_brute_force(problem: SparseProblem) -> SparseSolution:
     distinct support of exactly equal weight also fits.  Reduces to
     ``l0_brute_force`` under counting measure.
     """
-    n = problem.frame.n_atoms
-    if 2**n > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"2^{n} candidate supports exceed the guard of {ENUMERATION_GUARD}"
-        )
-    members, plan = _weight_plan(problem.frame.space.weights)
-    return _walk(problem, ((weight, _expand(members, cvs)) for weight, _, cvs in plan))
+    return _walk(problem, *_weight_plan(problem.frame.space.weights, problem.frame.n_atoms))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +365,9 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     return best
 
 
-def _light_supports(weights: np.ndarray, threshold: float) -> list[tuple[int, ...]]:
-    """Nonempty supports of total weight below ``threshold``, by cardinality
-    then lexicographic order."""
-    members, plan = _weight_plan(weights)
+def _planted_pool(members: list[list[int]], plan, threshold: float) -> list[tuple[int, ...]]:
+    """The plan's nonempty supports of total weight below ``threshold``, by
+    cardinality then lexicographic order."""
     light = [s for weight, card, cvs in plan if card and weight < threshold for s in _expand(members, cvs)]
     return sorted(light, key=lambda s: (len(s), s))
 
@@ -390,17 +391,14 @@ def conjecture_probe(
         raise FrameError("the probe uses the Hilbert pairing; p must be 2")
     if trials < 1:
         raise FrameError("trials must be at least 1")
-    n = frame.n_atoms
-    if 2**n > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"2^{n} candidate supports exceed the guard of {ENUMERATION_GUARD}"
-        )
+    rng = _seeded_rng(seed)
+    n, w = frame.n_atoms, frame.space.weights
+    members, plan = _weight_plan(w, n)
     coh_all = gram_coherence(frame)
     coh_distinct = _distinct_vector_coherence(frame)
     thr_all = uniqueness_threshold(coh_all)
     thr_distinct = uniqueness_threshold(coh_distinct)
-    w = frame.space.weights
-    feasible = _light_supports(w, thr_all)
+    feasible = _planted_pool(members, plan, thr_all)
     report = {
         "schema_version": 1,
         "kind": "measure-minimization-probe",
@@ -414,25 +412,10 @@ def conjecture_probe(
         "threshold_distinct_vectors": json_number(thr_distinct),
         "frame_sha256": frame_digest(frame),
     }
-    if not feasible:
-        report.update(
-            {
-                "hypothesis_satisfiable": False,
-                "note": "hypothesis unsatisfiable: no nonempty support has weight below the threshold",
-                "trials_run": 0,
-                "trials_skipped": int(trials),
-                "confirmations": 0,
-                "counterexamples": [],
-                "trial_records": [],
-            }
-        )
-        return report
-
-    rng = np.random.default_rng(seed)
     records = []
     counterexamples = []
     confirmations = 0
-    for t in range(trials):
+    for t in range(trials if feasible else 0):
         support = feasible[int(rng.integers(len(feasible)))]
         k = len(support)
         if frame.field == COMPLEX:
@@ -443,7 +426,7 @@ def conjecture_probe(
         values[list(support)] = coeff
         planted = CoefficientFunction(frame.space, values)
         target = synthesis(frame, planted)
-        solution = measure_min_brute_force(SparseProblem(frame, target, eps_residual))
+        solution = _walk(SparseProblem(frame, target, eps_residual), members, plan)
         confirmed = bool(
             solution.status == SOLVED and solution.support == support and solution.unique
         )
@@ -473,12 +456,14 @@ def conjecture_probe(
             )
     report.update(
         {
-            "hypothesis_satisfiable": True,
-            "trials_run": int(trials),
-            "trials_skipped": 0,
+            "hypothesis_satisfiable": bool(feasible),
+            "trials_run": len(records),
+            "trials_skipped": int(trials) - len(records),
             "confirmations": confirmations,
             "counterexamples": counterexamples,
             "trial_records": records,
         }
     )
+    if not feasible:
+        report["note"] = "hypothesis unsatisfiable: no nonempty support has weight below the threshold"
     return report

@@ -18,6 +18,7 @@ from .frames import (
     MeasureSpace,
     PSchauderFrame,
     _check_table_guard,
+    _seeded_rng,
     counting_measure,
 )
 
@@ -109,7 +110,7 @@ def random_parseval(d: int, n: int, seed: int = 0, field: str = REAL) -> PSchaud
     if d < 1:
         raise FrameError("dimension must be at least 1")
     _check_table_guard(n, d)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if field == COMPLEX:
         raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     else:
@@ -164,7 +165,7 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     a = frame.functionals.T * frame.space.weights
     _, _, vh = np.linalg.svd(a)
     null_basis = vh[d:].conj().T                           # (n, n-d)
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     if frame.field == COMPLEX:
         mix = rng.standard_normal((n - d, d)) + 1j * rng.standard_normal((n - d, d))
     else:

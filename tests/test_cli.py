@@ -154,6 +154,8 @@ def test_gen_missing_required_parameter(kind, field, tmp_path, capsys):
         (["--kind", "signed-permutation", "--d", "3", "--perm", "0,1,99999999999999999999"],
          "error: permutation must be a bijection of 0..d-1"),
         (["--kind", "random-parseval", "--d", "-1", "--n", "3"], "error: dimension must be at least 1"),
+        (["--kind", "signed-permutation", "--d", "3", "--perm", ""], "error: not an integer: ''"),
+        (["--kind", "signed-permutation", "--d", "3", "--signs", ""], "error: not a number: ''"),
     ],
 )
 def test_gen_malformed_input_is_one_line_domain_error(argv, message, tmp_path, capsys):
@@ -184,6 +186,24 @@ def test_gen_table_guard_refuses_without_allocating(argv, tmp_path, capsys):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("resource guard: ")
+
+
+def test_gen_ignores_base_for_kinds_without_an_input_frame(tmp_path, capsys):
+    with_base, without = tmp_path / "with.json", tmp_path / "without.json"
+    code, _, _ = run_cli("gen", "--kind", "mercedes-benz", "--base", "/nonexistent/base.json", "--out", str(with_base),
+                         capsys=capsys)
+    assert code == 0
+    code, _, _ = run_cli("gen", "--kind", "mercedes-benz", "--out", str(without), capsys=capsys)
+    assert code == 0
+    assert with_base.read_bytes() == without.read_bytes()
+
+
+def test_gen_derived_kind_still_loads_its_base(tmp_path, capsys):
+    code, out, err = run_cli("gen", "--kind", "alternate-dual", "--base", "/nonexistent/base.json",
+                             "--out", str(tmp_path / "o.json"), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ------------------------------------------------------------- validate
@@ -565,6 +585,23 @@ def test_probe_guard_exit_code(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.fixture(scope="module")
+def wide_frame(tmp_path_factory):
+    from framelab import harmonic_discretization
+
+    path = tmp_path_factory.mktemp("wide") / "wide.json"
+    save_frame(harmonic_discretization(1, 20000), path)
+    return path
+
+
+@pytest.mark.parametrize("mode", ["l0", "measure"])
+def test_sparse_guard_refuses_many_atoms_in_one_line(mode, wide_frame, capsys):
+    code, out, err = run_cli("sparse", "--frame", str(wide_frame), "--target", "1", "--mode", mode, capsys=capsys)
+    assert code == 4
+    assert out == ""
+    assert err == "resource guard: more than 10000000 candidate supports of at most 20000 of 20000 atoms\n"
+
+
 # ----------------------------------------------------------- plumbing
 
 
@@ -605,6 +642,40 @@ def test_non_integer_env_seed_is_one_line_domain_error(tmp_path, capsys, monkeyp
     assert code == 2
     assert out == ""
     assert err == "error: not an integer: 'abc'\n"
+
+
+NEGATIVE_SEED_ARGV = {
+    "gen-random-parseval": ["gen", "--kind", "random-parseval", "--d", "2", "--n", "3", "--out", "{dir}/o.json"],
+    "gen-alternate-dual": ["gen", "--kind", "alternate-dual", "--base", "{mb}", "--out", "{dir}/o.json"],
+    "validate": ["validate", "--frame", "{mb}"],
+    "extremal": ["extremal", "--frame-f", "{mb}", "--frame-g", "{mb}"],
+    "probe": ["probe", "--frame", "{mb}", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("command", sorted(NEGATIVE_SEED_ARGV))
+def test_negative_seed_is_one_line_domain_error(command, from_env, tmp_path, capsys, monkeypatch):
+    mb = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), mb)
+    argv = [a.format(dir=tmp_path, mb=mb) for a in NEGATIVE_SEED_ARGV[command]]
+    if from_env:
+        monkeypatch.setenv("FRAMELAB_SEED", "-1")
+    else:
+        argv += ["--seed", "-1"]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_negative_seed_is_accepted_by_kinds_that_ignore_it(tmp_path, capsys):
+    for seed, name in (("-1", "negative.json"), ("0", "zero.json")):
+        code, _, _ = run_cli("gen", "--kind", "canonical-lp", "--d", "2", "--seed", seed, "--out", str(tmp_path / name),
+                             capsys=capsys)
+        assert code == 0
+    assert (tmp_path / "negative.json").read_bytes() == (tmp_path / "zero.json").read_bytes()
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -120,6 +120,31 @@ def test_l0_guard_refuses_huge_enumerations():
         l0_brute_force(SparseProblem(frame, np.zeros(30)))
 
 
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda frame: l0_brute_force(SparseProblem(frame, np.ones(1))),
+        lambda frame: measure_min_brute_force(SparseProblem(frame, np.ones(1))),
+        lambda frame: conjecture_probe(frame, trials=1),
+    ],
+    ids=["l0", "measure", "probe"],
+)
+def test_guard_refuses_many_atoms_in_one_short_line(solve):
+    with pytest.raises(ResourceGuardError) as excinfo:
+        solve(harmonic_discretization(1, 5000))
+    message = str(excinfo.value)
+    assert len(message) < 200
+    assert message == "more than 10000000 candidate supports of at most 5000 of 5000 atoms"
+
+
+def test_l0_small_cap_on_many_atoms_still_solves():
+    # 1 + 4000 candidate supports: far under the guard, although 2^4000 is not
+    sol = l0_brute_force(SparseProblem(harmonic_discretization(1, 4000), np.ones(1)), max_card=1)
+    assert sol.status == "solved"
+    assert sol.support == (0,)
+    assert sol.unique is False  # every atom of the d = 1 frame is the same vector
+
+
 # ------------------------------------------------------------ measure min
 
 
@@ -425,8 +450,9 @@ def test_engine_matches_frozen_per_support_solvers(name):
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
 def test_probe_support_pool_matches_frozen_list(name):
     w = ENGINE_FRAMES[name].space.weights
+    members, plan = sparse._weight_plan(w, w.size)
     for threshold in (0.0, float(w.min()), 1.0, 1.6, 2.5, math.inf):
-        assert sparse._light_supports(w, threshold) == oracles.legacy_light_supports(w, threshold)
+        assert sparse._planted_pool(members, plan, threshold) == oracles.legacy_light_supports(w, threshold)
 
 
 @pytest.mark.parametrize("name", ["harmonic-split", "split-complex", "class-weights", "distinct-weights"])
@@ -437,8 +463,20 @@ def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
     def report():
         return json.dumps(conjecture_probe(frame, trials=12, seed=31, eps_residual=eps), indent=2, sort_keys=True)
 
+    calls = {"trials": 0, "pools": 0}
+
+    def frozen_trial(problem, members, plan):
+        calls["trials"] += 1
+        return oracles.legacy_measure_min(problem)
+
+    def frozen_pool(members, plan, threshold):
+        calls["pools"] += 1
+        return oracles.legacy_light_supports(frame.space.weights, threshold)
+
     engine = report()
-    monkeypatch.setattr(sparse, "measure_min_brute_force", oracles.legacy_measure_min)
-    monkeypatch.setattr(sparse, "_light_supports", oracles.legacy_light_supports)
+    monkeypatch.setattr(sparse, "_walk", frozen_trial)
+    monkeypatch.setattr(sparse, "_planted_pool", frozen_pool)
     monkeypatch.setattr(sparse, "vector_to_obj", oracles.legacy_encode_values)
     assert engine == report()
+    # the frozen path really ran: one frozen solve per trial, one frozen pool
+    assert calls == {"trials": 12, "pools": 1}
