@@ -299,8 +299,7 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     whose parts sum exactly to the original weight leave the result
     bit-identical.
     """
-    if eps < 0:
-        raise FrameError("eps must be nonnegative")
+    _check_tolerance("eps", eps)
     return _support_measures(coeffs.space.weights, coeffs.values[None, :], eps)[0]
 
 
@@ -357,8 +356,7 @@ def _uncertainty_rows(
     if not rows.any(axis=1).all():
         raise FrameError("theorem excludes x = 0")
     coh_fg, coh_gf = _pair_coherence(frame_f, frame_g)
-    if eps < 0:
-        raise FrameError("eps must be nonnegative")
+    _check_tolerance("eps", eps)
     supports = []
     for frame in (frame_f, frame_g):
         # One stacked matrix-vector product per row: the same bits as
@@ -444,6 +442,16 @@ def _check_table_guard(rows: int, cols: int) -> None:
         raise ResourceGuardError(
             f"{rows} x {cols} = {rows * cols} scalars exceeds guard {VALIDATION_GUARD}"
         )
+
+
+def _check_tolerance(name: str, value: float | None) -> None:
+    """Refuse a negative, NaN or infinite tolerance; None means the default."""
+    if value is None:
+        return
+    if value < 0:
+        raise FrameError(f"{name} must be nonnegative")
+    if not math.isfinite(value):
+        raise FrameError(f"{name} must be finite, got {value}")
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:

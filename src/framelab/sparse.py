@@ -11,10 +11,10 @@ and ``l0_brute_force`` their number, which is the same search over unit
 weights.  Both walk one plan of support levels by (weight, cardinality),
 built over the classes of equal atom weight, so no table of all 2^n
 supports is built; one guard on the support count refuses a plan before
-any of it is built.  Fits are screened in batches, and the exact
-per-support least-squares fit makes every decision.  ``conjecture_probe``
-plans once, plants random low-weight supports and reports, never asserts,
-whether weight minimization recovers them uniquely.
+any of it is built.  One R factor of [A_S | target] screens each chunk of
+supports S, and the exact per-support least-squares fit makes every decision.
+``conjecture_probe`` plans once, plants random low-weight supports and
+reports, never asserts, whether weight minimization recovers them uniquely.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .frames import (
     FrameError,
     PSchauderFrame,
     ResourceGuardError,
+    _check_tolerance,
     _seeded_rng,
     synthesis,
 )
@@ -39,8 +40,8 @@ from .frames import (
 # Largest number of candidate supports a solver call may enumerate.
 ENUMERATION_GUARD = 10_000_000
 
-# Supports screened by one stacked QR call: at most this many, and at most
-# _SCREEN_ENTRIES entries in the stacked matrices.
+# Supports screened by one stacked QR of [A_S | t]: at most this many, and at
+# most _SCREEN_ENTRIES entries, as d(k + 1) <= d n when a chunk has k < n.
 _SCREEN_CHUNK = 256
 _SCREEN_ENTRIES = 1 << 20
 
@@ -69,8 +70,7 @@ class SparseProblem:
             raise FrameError("target must be finite (no NaN/Inf)")
         h.setflags(write=False)
         object.__setattr__(self, "target", h)
-        if self.eps_residual is not None and self.eps_residual < 0:
-            raise FrameError("eps_residual must be nonnegative")
+        _check_tolerance("eps_residual", self.eps_residual)
 
     def resolved_tolerance(self) -> float:
         if self.eps_residual is not None:
@@ -233,22 +233,26 @@ def _expand(members: list[list[int]], count_vectors):
 
 
 def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
-    """The supports (all of one cardinality) whose fit may reach the tolerance.
+    """The supports (all of one cardinality k) whose fit may reach the tolerance.
 
-    A stacked QR projects the target onto span(Q), which contains the
-    support's column space, so the projection residual is a lower bound on
-    the least-squares residual; a support is dropped only when that bound
-    exceeds ``bar``, well above the tolerance.
+    One stacked QR factors [A_S | t] for each support S.  Householder
+    reflectors depend only on the columns they reduce, so |R[k, k]| is the
+    norm of t off the span of Q's first k columns, which holds A_S's column
+    space: a lower bound on the least-squares residual.  A support is
+    dropped only when that bound exceeds ``bar``, well above the tolerance.
     """
     k = len(supports[0])
     if len(supports) < 2 or k == 0 or k >= cols.shape[0]:
         # one support screens at about the cost of fitting it; with k >= d,
-        # Q spans the whole space and nothing could be dropped
+        # the reflectors span the whole space and nothing could be dropped
         return supports
-    q, _ = np.linalg.qr(cols.T[np.array(supports)].transpose(0, 2, 1))
-    coeff = q.conj().transpose(0, 2, 1) @ target
-    residual = np.linalg.norm(target - (q @ coeff[..., None])[..., 0], axis=1)
-    return [s for s, r in zip(supports, residual.tolist()) if not r > bar]
+    index = np.fromiter(itertools.chain.from_iterable(supports), np.intp, len(supports) * k)
+    # (k + 1, d) blocks, so the transpose hands LAPACK column-major [A_S | t]
+    stacked = np.empty((len(supports), k + 1, cols.shape[0]), dtype=cols.dtype)
+    stacked[:, :k] = cols.T[index.reshape(-1, k)]
+    stacked[:, k] = target
+    bound = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="r")[:, k, k])
+    return [s for s, r in zip(supports, bound.tolist()) if not r > bar]
 
 
 def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolution:
@@ -264,7 +268,7 @@ def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolut
     tol = problem.resolved_tolerance()
     bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))
     cols = _synthesis_columns(frame)
-    chunk_size = max(2, min(_SCREEN_CHUNK, _SCREEN_ENTRIES // cols.size))  # d * k <= cols.size
+    chunk_size = max(2, min(_SCREEN_CHUNK, _SCREEN_ENTRIES // cols.size))  # d * (k + 1) <= cols.size
     first = best = None
     for objective, _, count_vectors in plan:
         if first is not None and objective != best:
@@ -387,6 +391,7 @@ def conjecture_probe(
     The returned report is a plain JSON-serializable dict and is a pure
     function of (frame, trials, seed, eps_residual).
     """
+    _check_tolerance("eps_residual", eps_residual)
     if frame.p != 2.0:
         raise FrameError("the probe uses the Hilbert pairing; p must be 2")
     if trials < 1:

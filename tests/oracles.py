@@ -143,6 +143,20 @@ def legacy_encode_values(values, field):
 
 
 # ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the support screen as it was before it took one R factor
+# of [columns | target] per support: one stacked reduced QR of the support's
+# columns, the target projected onto span(Q) and the norm of what is left.
+# test_sparse.py requires the screen's bound to match it.  Do not share code
+# with the screen.
+
+
+def legacy_screen_residuals(cols: np.ndarray, target: np.ndarray, supports) -> np.ndarray:
+    q, _ = np.linalg.qr(cols.T[np.array(supports)].transpose(0, 2, 1))
+    coeff = q.conj().transpose(0, 2, 1) @ target
+    return np.linalg.norm(target - (q @ coeff[..., None])[..., 0], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # FROZEN REFERENCE: the frame-file writer as it was before ``frame_json``
 # wrote the canonical text directly.  The layout contract of frame files
 # is defined as these bytes; test_frame_io.py requires the writer and the

@@ -730,3 +730,37 @@ def test_gen_fuzz_never_raises(fuzz_base, kind, ints, perm, signs, with_base, fi
         except SystemExit as exc:  # argparse
             code = exc.code
     assert code in (0, 1, 2, 3, 4)
+
+
+CHECK_MB = ["check", "--frame-f", "{mb}", "--frame-g", "{mb}", "--x", "1,0"]
+SPARSE_MB = ["sparse", "--frame", "{mb}", "--target", "1,0"]
+BAD_TOLERANCE_ARGV = {
+    "check-eps-nan": (CHECK_MB + ["--eps", "nan"], "eps must be finite, got nan"),
+    "check-eps-inf": (CHECK_MB + ["--eps", "inf"], "eps must be finite, got inf"),
+    "check-eps-negative": (CHECK_MB + ["--eps", "-1"], "eps must be nonnegative"),
+    "extremal-eps-nan": (["extremal", "--frame-f", "{mb}", "--frame-g", "{mb}", "--eps", "nan"],
+                         "eps must be finite, got nan"),
+    "sparse-eps-residual-nan": (SPARSE_MB + ["--eps-residual", "nan"], "eps_residual must be finite, got nan"),
+    "sparse-eps-residual-inf": (SPARSE_MB + ["--eps-residual", "inf"], "eps_residual must be finite, got inf"),
+    "sparse-eps-residual-negative": (SPARSE_MB + ["--eps-residual=-inf"], "eps_residual must be nonnegative"),
+    "probe-eps-residual-nan": (["probe", "--frame", "{mb}", "--trials", "2", "--eps-residual", "nan",
+                                "--out", "{dir}/o.json"], "eps_residual must be finite, got nan"),
+    # parallel unit atoms: no light support, so no trial and no SparseProblem
+    "probe-empty-pool-eps-residual-inf": (["probe", "--frame", "{parallel}", "--trials", "2", "--eps-residual", "inf",
+                                           "--out", "{dir}/o.json"], "eps_residual must be finite, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TOLERANCE_ARGV))
+def test_bad_tolerance_is_one_line_domain_error(case, tmp_path, capsys):
+    from framelab import PSchauderFrame, counting_measure
+
+    mb, parallel = tmp_path / "mb.json", tmp_path / "parallel.json"
+    save_frame(mercedes_benz(), mb)
+    save_frame(PSchauderFrame(counting_measure(2), 2.0, [[1.0, 0.0]] * 2, [[1.0, 0.0]] * 2, "real"), parallel)
+    argv, message = BAD_TOLERANCE_ARGV[case]
+    code, out, err = run_cli(*(a.format(dir=tmp_path, mb=mb, parallel=parallel) for a in argv), capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "o.json").exists()

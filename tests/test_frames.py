@@ -183,6 +183,23 @@ def test_support_measure_rejects_negative_eps():
         support_measure(c, eps=-1.0)
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_every_eps_path_rejects_non_finite_eps(eps):
+    # a NaN threshold would keep no atom, so every support would measure 0
+    # and the check would report a false violation
+    c = CoefficientFunction(counting_measure(2), np.ones(2))
+    first = second = mercedes_benz()
+    calls = [
+        lambda: support_measure(c, eps=eps),
+        lambda: uncertainty_check(first, second, np.array([1.0, 0.0]), eps=eps),
+        lambda: uncertainty_batch(first, second, np.eye(2), eps=eps),
+        lambda: extremal_search(first, second, budget=5, eps=eps),
+    ]
+    for call in calls:
+        with pytest.raises(FrameError, match="eps must be finite"):
+            call()
+
+
 @settings(max_examples=80, deadline=None)
 @given(k=st.integers(-30, 30), sign=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**20))
 def test_support_scale_invariance_for_exact_scalings(k, sign, seed):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -339,6 +340,19 @@ def test_probe_unsatisfiable_threshold_skips_all_trials():
     assert "unsatisfiable" in report["note"]
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_non_finite_eps_residual_is_refused(eps):
+    with pytest.raises(FrameError, match="eps_residual must be finite"):
+        SparseProblem(mercedes_benz(), np.array([1.0, 0.0]), eps)
+    # refused before the pool is drawn, so also when it is empty
+    parallel = PSchauderFrame(
+        counting_measure(2), 2.0, [[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], "real"
+    )
+    for frame in (mercedes_benz(), parallel):
+        with pytest.raises(FrameError, match="eps_residual must be finite"):
+            conjecture_probe(frame, trials=3, eps_residual=eps)
+
+
 def test_probe_reports_are_deterministic():
     frame = weighted_split(mercedes_benz(), 0, 2)
     a = conjecture_probe(frame, trials=25, seed=99)
@@ -413,6 +427,46 @@ def _engine_targets(frame, rng):
             nudge = gaussian(frame.dimension)
             nudged.append(h + nudge / np.linalg.norm(nudge) * scale * 1e-8 * np.linalg.norm(h))
     return targets, nudged
+
+
+def _screen_sweep():
+    """(frame, columns, target, level) for every support level with
+    0 < k < d of ENGINE_FRAMES (the splits hold exactly parallel columns)
+    and of two more frames: one with a zero column and one with two
+    columns 1e-6 from parallel."""
+    base = random_parseval(3, 6, seed=8)
+    zero, near = base.vectors.copy(), base.vectors.copy()
+    zero[2] = 0.0
+    near[4] = near[3] + 1e-6 * near[0]
+    frames = dict(ENGINE_FRAMES)
+    frames["zero-column"] = PSchauderFrame(base.space, 2.0, base.functionals, zero, "real")
+    frames["near-parallel"] = PSchauderFrame(base.space, 2.0, base.functionals, near, "real")
+    for name, frame in sorted(frames.items()):
+        cols = sparse._synthesis_columns(frame)
+        targets, nudged = _engine_targets(frame, np.random.default_rng(len(name)))
+        for target in targets + nudged:
+            for k in range(1, frame.dimension):
+                yield frame, cols, target, list(itertools.combinations(range(frame.n_atoms), k))
+
+
+def test_screen_bound_matches_frozen_projection_residual():
+    # A chunk of [s, s] keeps s iff its bound is at most bar, so bars just
+    # above and just below the frozen residual pin the bound between them.
+    for frame, cols, target, level in _screen_sweep():
+        slack = 1e-13 * float(np.linalg.norm(target))
+        for s, legacy in zip(level, oracles.legacy_screen_residuals(cols, target, level).tolist()):
+            assert sparse._screen(cols, target, [s, s], legacy + slack) == [s, s], s
+            assert sparse._screen(cols, target, [s, s], np.nextafter(legacy - slack, -1.0)) == [], s
+
+
+def test_screen_never_drops_a_fit():
+    for frame, cols, target, level in _screen_sweep():
+        residuals = [sparse._restricted_fit(cols, s, target)[1] for s in level]
+        for eps in (None, 0.0, 1e-12):
+            tol = SparseProblem(frame, target, eps).resolved_tolerance()
+            bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))  # as in sparse._walk
+            kept = set(sparse._screen(cols, target, level, bar))
+            assert all(s in kept for s, r in zip(level, residuals) if r <= tol), (level[0], eps)
 
 
 def _solution_bits(sol):
