@@ -16,10 +16,12 @@ same bilinear pairing then serves real and complex families alike.
 images of one nonzero vector against the reciprocal of the largest pairing
 between the two families.  ``uncertainty_batch`` does the same for the rows
 of an (m, d) array in one pass, with the same bits as checking each row on
-its own; ``uncertainty_check`` is its one-row case.  Both take the pair's
-cross-coherence from a per-pair memo: it is computed by ``cross_coherence``
-the first time a pair of frame objects is checked and kept, under weak
-references, for as long as both frames live (frames are immutable).
+its own; ``uncertainty_check`` is its one-row case, which costs one
+matrix-vector product, one max and one ``fsum`` per frame.  Both take the
+pair's cross-coherence from a per-pair memo: it is computed by
+``cross_coherence`` the first time a pair of frame objects is checked and
+kept, under weak references, for as long as both frames live (frames are
+immutable).
 ``validate_frame`` estimates the two axiom residuals on seeded random
 vectors, and ``extremal_search`` hunts for near-equality vectors of the
 support product, checking its candidates in chunks with the batch kernel.
@@ -268,20 +270,34 @@ def synthesis(frame: PSchauderFrame, coeffs: CoefficientFunction) -> np.ndarray:
     return (frame.space.weights * coeffs.values) @ frame.vectors
 
 
-def _support_measures(weights: np.ndarray, coeffs: np.ndarray, eps: float) -> list[float]:
-    """Support measure of every row of the (m, n_atoms) array ``coeffs``.
+def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> list[float]:
+    """Support measure of the analysis image of every validated (m, d) row.
 
     Row i keeps the atoms with ``|c_ij| > eps * max_j |c_ij|``; a row whose
-    peak is 0 keeps none and measures 0.0.  ``math.fsum`` runs once per
-    distinct mask, so split weights stay bit-exact and repeated masks cost
-    nothing extra.
+    peak is 0 keeps none and measures 0.0.  A finite peak means finite
+    coefficients; a non-finite one can also come from finite complex parts
+    whose ``abs`` overflows, so only then does the exact check run.
+    ``math.fsum`` runs once per distinct mask, so split weights stay
+    bit-exact and repeated masks cost nothing extra.
     """
+    weights = frame.space.weights
+    if len(rows) == 1:
+        # np.unique over rows has a fixed cost several times that of a whole
+        # one-row check; one row needs one product, one max and one fsum.
+        coeffs = frame.functionals @ rows[0]
+        mags = np.abs(coeffs)
+        peak = mags.max()
+        if not math.isfinite(peak):
+            _finite_or_raise(coeffs, "coefficients")
+        return [math.fsum(weights[mags > eps * peak])]
+    # One stacked matrix-vector product per row: the same bits as
+    # ``frame.functionals @ x`` for each row (a gemm would not be).
+    coeffs = np.matmul(frame.functionals, rows[..., None])[..., 0]
     mags = np.abs(coeffs)
-    masks = mags > eps * mags.max(axis=1, keepdims=True)
-    if len(masks) == 1:
-        # np.unique over rows has a fixed cost several times that of a
-        # whole one-row check; a single row has nothing to group.
-        return [math.fsum(weights[masks[0]])]
+    peaks = mags.max(axis=1, keepdims=True)
+    if not np.isfinite(peaks).all():
+        _finite_or_raise(coeffs, "coefficients")
+    masks = mags > eps * peaks
     _, first, inverse = np.unique(
         np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True
     )
@@ -300,7 +316,8 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     bit-identical.
     """
     _check_tolerance("eps", eps)
-    return _support_measures(coeffs.space.weights, coeffs.values[None, :], eps)[0]
+    mags = np.abs(coeffs.values)
+    return math.fsum(coeffs.space.weights[mags > eps * mags.max()])
 
 
 def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[float, float]:
@@ -352,40 +369,18 @@ def _same_exponent(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
 def _uncertainty_rows(
     frame_f: PSchauderFrame, frame_g: PSchauderFrame, rows: np.ndarray, eps: float
 ) -> list[UncertaintyReport]:
-    """Reports for validated (m, d) input rows; see ``uncertainty_batch``."""
-    if not rows.any(axis=1).all():
-        raise FrameError("theorem excludes x = 0")
+    """Reports for validated nonzero (m, d) input rows; see ``uncertainty_batch``."""
     coh_fg, coh_gf = _pair_coherence(frame_f, frame_g)
     _check_tolerance("eps", eps)
-    supports = []
-    for frame in (frame_f, frame_g):
-        # One stacked matrix-vector product per row: the same bits as
-        # ``frame.functionals @ x`` for each row (a gemm would not be).
-        coeffs = np.matmul(frame.functionals, rows[..., None])[..., 0]
-        _finite_or_raise(coeffs, "coefficients")
-        supports.append(_support_measures(frame.space.weights, coeffs, eps))
-    p = frame_f.p
-    q = frame_f.q
-    bound1 = 1.0 / coh_fg
-    bound2 = 1.0 / coh_gf
+    supports = [_support_measures(frame, rows, eps) for frame in (frame_f, frame_g)]
+    inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
+    bound1, bound2 = 1.0 / coh_fg, 1.0 / coh_gf
     reports = []
     for supp_f, supp_g in zip(*supports):
-        lhs1 = supp_f ** (1.0 / p) * supp_g ** (1.0 / q)
-        lhs2 = supp_g ** (1.0 / p) * supp_f ** (1.0 / q)
-        reports.append(
-            UncertaintyReport(
-                supp_f=supp_f,
-                supp_g=supp_g,
-                lhs1=lhs1,
-                lhs2=lhs2,
-                coh_fg=coh_fg,
-                coh_gf=coh_gf,
-                bound1=bound1,
-                bound2=bound2,
-                holds1=lhs1 >= bound1 - CUE_TOLERANCE,
-                holds2=lhs2 >= bound2 - CUE_TOLERANCE,
-            )
-        )
+        lhs1 = supp_f ** inv_p * supp_g ** inv_q
+        lhs2 = supp_g ** inv_p * supp_f ** inv_q
+        reports.append(UncertaintyReport(supp_f, supp_g, lhs1, lhs2, coh_fg, coh_gf, bound1, bound2,
+                                         lhs1 >= bound1 - CUE_TOLERANCE, lhs2 >= bound2 - CUE_TOLERANCE))
     return reports
 
 
@@ -404,7 +399,10 @@ def uncertainty_batch(
     rejected like x = 0 there.
     """
     _same_exponent(frame_f, frame_g)
-    return _uncertainty_rows(frame_f, frame_g, _as_input_rows(frame_f, X), eps)
+    rows = _as_input_rows(frame_f, X)
+    if not rows.any(axis=1).all():
+        raise FrameError("theorem excludes x = 0")
+    return _uncertainty_rows(frame_f, frame_g, rows, eps)
 
 
 def uncertainty_check(
@@ -426,7 +424,10 @@ def uncertainty_check(
     ``uncertainty_batch``.
     """
     _same_exponent(frame_f, frame_g)
-    return _uncertainty_rows(frame_f, frame_g, _as_input_vector(frame_f, x)[None, :], eps)[0]
+    xv = _as_input_vector(frame_f, x)
+    if not xv.any():
+        raise FrameError("theorem excludes x = 0")
+    return _uncertainty_rows(frame_f, frame_g, xv[None, :], eps)[0]
 
 
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
@@ -487,9 +488,11 @@ def validate_frame(
     * isometry: ``|sum_i w_i |f_i(x)|^p - norm(x,p)^p| / norm(x,p)^p``
     * reconstruction: ``norm(synthesis(analysis(x)) - x, p) / norm(x, p)``
 
-    The report passes when both maxima are at most ``tol``.  Refuses
-    ``trials * max(n_atoms, dimension)`` beyond ``VALIDATION_GUARD``.
+    The report passes when both maxima are at most ``tol``, which must be
+    finite and nonnegative.  Refuses ``trials * max(n_atoms, dimension)``
+    beyond ``VALIDATION_GUARD``.
     """
+    _check_tolerance("tol", tol)
     if trials < 1:
         raise FrameError("trials must be at least 1")
     _check_table_guard(trials, max(frame.n_atoms, frame.dimension))
@@ -618,10 +621,4 @@ def extremal_search(
 
     if best is None or best_x is None:
         raise FrameError("no nonzero candidate vector could be synthesized")
-    return ExtremalReport(
-        min_lhs1=best.lhs1,
-        minimizer=best_x,
-        report=best,
-        bound1=best.bound1,
-        candidates_evaluated=evaluated,
-    )
+    return ExtremalReport(best.lhs1, best_x, best, best.bound1, evaluated)

@@ -240,6 +240,7 @@ def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) ->
     norm of t off the span of Q's first k columns, which holds A_S's column
     space: a lower bound on the least-squares residual.  A support is
     dropped only when that bound exceeds ``bar``, well above the tolerance.
+    R[k, k] is read from ``mode="raw"``, which makes no triangular copy of R.
     """
     k = len(supports[0])
     if len(supports) < 2 or k == 0 or k >= cols.shape[0]:
@@ -251,7 +252,7 @@ def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) ->
     stacked = np.empty((len(supports), k + 1, cols.shape[0]), dtype=cols.dtype)
     stacked[:, :k] = cols.T[index.reshape(-1, k)]
     stacked[:, k] = target
-    bound = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="r")[:, k, k])
+    bound = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="raw")[0][:, k, k])
     return [s for s, r in zip(supports, bound.tolist()) if not r > bar]
 
 

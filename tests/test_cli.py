@@ -248,6 +248,21 @@ def test_validate_malformed_complex_scalar_is_one_line_domain_error(dft_files, t
     assert len(err.strip().splitlines()) == 1 and "complex scalar" in err
 
 
+@pytest.mark.parametrize(
+    "tol, message",
+    [("nan", "tol must be finite, got nan"), ("inf", "tol must be finite, got inf"), ("-1", "tol must be nonnegative")],
+    ids=["nan", "inf", "negative"],
+)
+def test_validate_bad_tol_is_one_line_domain_error(tol, message, tmp_path, capsys):
+    # NaN would fail every frame and inf pass every frame; neither is JSON
+    path = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), path)
+    code, out, err = run_cli("validate", "--frame", str(path), f"--tol={tol}", capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_validate_trials_guard_refuses_without_allocating(dft_files, capsys):
     # 10^15 trials x 4 scalars could never be allocated; the guard is checked
     # arithmetically first and exits 4

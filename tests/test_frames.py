@@ -507,6 +507,64 @@ def test_extremal_skips_zero_candidates_uncounted():
         extremal_search(zero_atoms, zero_atoms, budget=3)
 
 
+# ------------------------------------------ one-row vs stacked branch
+#
+# One row takes ``_support_measures``' one-row branch (one product, one max,
+# one fsum); every other row count takes the stacked branch, which groups
+# masks with np.unique.  Both must give the same bits or the same error.
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except FrameError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _both_branches(ff, fg, x, eps=frames.SUPPORT_EPS):
+    one_row = _outcome(lambda: uncertainty_check(ff, fg, x, eps))
+    stacked = _outcome(lambda: uncertainty_batch(ff, fg, np.array([x, x]), eps)[1])
+    return one_row, stacked
+
+
+def test_branches_agree_on_real_coefficients_that_overflow():
+    fine = canonical_lp(2, 2.0)
+    for row in ([1e308, 1e308], [-1e308, -1e308]):
+        overflow = PSchauderFrame(counting_measure(2), 2.0, [row, [0, 1]], [[1, 0], [0, 1]])
+        for ff, fg in ((overflow, fine), (fine, overflow), (overflow, overflow)):
+            with np.errstate(over="ignore"):
+                one_row, stacked = _both_branches(ff, fg, np.array([10.0, 10.0]))
+            assert one_row == stacked == ("FrameError", "coefficients must be finite (no NaN/Inf)")
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_branches_agree_when_complex_abs_overflows(eps):
+    # finite parts whose modulus overflows: |1.7e308 (1 + i)| > max float
+    functionals = [[1.7e308, 1.7e308j], [1, 0], [0, 1]]
+    frame = PSchauderFrame(counting_measure(3), 2.0, functionals, [[1, 0], [0, 1], [1, 0]], "complex")
+    x = np.array([1.0, 1.0], dtype=complex)
+    # the inf peak keeps no atom (eps * inf is inf, 0 * inf is NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_row, stacked = _both_branches(frame, frame, x, eps)
+        expected = _bits(oracles.legacy_uncertainty_check(frame, frame, x, eps))
+        c = analysis(frame, x)
+        assert _bits(support_measure(c, eps)) == _bits(oracles.legacy_support_measure(c, eps)) == _bits(0.0)
+    assert one_row == stacked == expected
+    # with a finite peak the same frame is measured as usual: only the huge atom counts
+    assert uncertainty_check(frame, frame, np.array([1.0, 0.0], dtype=complex)).supp_f == 1.0
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+def test_one_two_and_no_row_batches_match_the_single_checks(eps):
+    # at eps = 0 a last-bit difference between the branches' products would
+    # flip a support mask
+    for k, (label, ff, fg) in enumerate(_kernel_pairs()):
+        rows = _kernel_rows(ff, 90 + k)
+        for m in (0, 1, 2):
+            expected = [_bits(uncertainty_check(ff, fg, x, eps)) for x in rows[:m]]
+            assert [_bits(rep) for rep in uncertainty_batch(ff, fg, rows[:m], eps)] == expected, (label, m)
+
+
 # ------------------------------------------------ batched BLAS forms
 
 
