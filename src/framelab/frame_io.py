@@ -13,12 +13,16 @@ Real scalars are plain numbers; complex scalars are two-element arrays
 ``[re, im]``.  Doubles survive a write/read cycle bit-identically because the
 writer emits shortest round-trip decimals.
 
+One conversion, ``_cells``, turns scalar tables into these JSON cells; the
+file writer, ``frame_to_obj`` and ``vector_to_obj`` all take their cells
+from it.
+
 The text layout is a fixed contract: it is exactly the bytes of
 ``json.dumps(frame_to_obj(frame), indent=2)`` (2-space indent, one scalar or
 bracket per line, ``float.__repr__`` decimals).  ``frame_json`` writes that
 text directly rather than through the pure-Python indenting encoder, and
-``tests/test_frame_io.py`` pins it against the ``json.dumps`` form; digests
-and saved files depend on every byte of it.
+``tests/test_frame_io.py`` pins it against a frozen copy of the per-scalar
+encoder; digests and saved files depend on every byte of it.
 """
 
 from __future__ import annotations
@@ -32,11 +36,13 @@ import numpy as np
 from .frames import COMPLEX, REAL, FrameError, MeasureSpace, PSchauderFrame
 
 
-def _encode_scalar(value, field: str):
+def _cells(array, field: str) -> np.ndarray:
+    """JSON cells of a scalar array: float64 values for a real field, and
+    for a complex one a ``(..., 2)`` array of ``[re, im]`` pairs."""
     if field == COMPLEX:
-        z = complex(value)
-        return [float(z.real), float(z.imag)]
-    return float(np.real(value))
+        z = np.asarray(array, dtype=np.complex128)
+        return np.stack([z.real, z.imag], axis=-1)
+    return np.real(array).astype(np.float64, copy=False)
 
 
 def _decode_number(obj, what: str) -> float:
@@ -69,20 +75,16 @@ def _decode_row(obj, field: str, what: str) -> list:
 
 
 def frame_to_obj(frame: PSchauderFrame) -> dict:
-    atoms = []
-    for i in range(frame.n_atoms):
-        atoms.append(
-            {
-                "weight": float(frame.space.weights[i]),
-                "functional": [_encode_scalar(v, frame.field) for v in frame.functionals[i]],
-                "vector": [_encode_scalar(v, frame.field) for v in frame.vectors[i]],
-            }
-        )
+    rows = zip(
+        frame.space.weights.tolist(),
+        _cells(frame.functionals, frame.field).tolist(),
+        _cells(frame.vectors, frame.field).tolist(),
+    )
     return {
         "field": frame.field,
         "p": float(frame.p),
         "dimension": frame.dimension,
-        "atoms": atoms,
+        "atoms": [{"weight": w, "functional": f, "vector": v} for w, f, v in rows],
     }
 
 
@@ -125,13 +127,6 @@ def frame_from_obj(obj) -> PSchauderFrame:
     )
 
 
-def _parts(table: np.ndarray, field: str) -> np.ndarray:
-    """Rows of JSON scalars in file order: complex entries as re, im."""
-    if field == COMPLEX:
-        return np.stack([table.real, table.imag], axis=-1).reshape(table.shape[0], -1)
-    return table
-
-
 def frame_json(frame: PSchauderFrame) -> str:
     """Canonical text form; also the hashing preimage for frame digests.
 
@@ -146,11 +141,12 @@ def frame_json(frame: PSchauderFrame) -> str:
         '    {\n      "weight": %r,\n      "functional": [\n        ' + row
         + '\n      ],\n      "vector": [\n        ' + row + "\n      ]\n    }"
     )
+    n = frame.n_atoms
     table = np.hstack(
         [
             frame.space.weights[:, None],
-            _parts(frame.functionals, frame.field),
-            _parts(frame.vectors, frame.field),
+            _cells(frame.functionals, frame.field).reshape(n, -1),
+            _cells(frame.vectors, frame.field).reshape(n, -1),
         ]
     ).tolist()
     header = '{\n  "field": %s,\n  "p": %r,\n  "dimension": %d,\n  "atoms": [\n' % (
@@ -186,7 +182,7 @@ def json_number(value: float):
 
 
 def vector_to_obj(x: np.ndarray, field: str) -> list:
-    return [_encode_scalar(v, field) for v in np.asarray(x)]
+    return _cells(x, field).tolist()
 
 
 def vector_from_obj(obj, field: str) -> np.ndarray:

@@ -326,14 +326,18 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
     ``coh_fg = max_ij |f_i(omega_j)|`` (first family's functionals on the
     second family's vectors) and symmetrically ``coh_gf = max_ij |g_j(tau_i)|``.
     Raises ``DegeneratePairError`` when either maximum vanishes, since the
-    reciprocal bound is then undefined.
+    reciprocal bound is then undefined, and ``FrameError`` when either is not
+    finite (a pairing overflows), since a bound of 0 would pass every vector.
     """
     if frame_f.dimension != frame_g.dimension:
         raise FrameError("frames must share the ambient dimension")
     if frame_f.field != frame_g.field:
         raise FrameError("frames must share the scalar field")
-    coh_fg = float(np.abs(frame_f.functionals @ frame_g.vectors.T).max())
-    coh_gf = float(np.abs(frame_g.functionals @ frame_f.vectors.T).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        coh_fg = float(np.abs(frame_f.functionals @ frame_g.vectors.T).max())
+        coh_gf = float(np.abs(frame_g.functionals @ frame_f.vectors.T).max())
+    if not (math.isfinite(coh_fg) and math.isfinite(coh_gf)):
+        raise FrameError("cross-coherence is not a finite double: a pairing magnitude overflows")
     if coh_fg == 0.0 or coh_gf == 0.0:
         raise DegeneratePairError("zero cross-coherence: support bound undefined")
     return coh_fg, coh_gf
@@ -541,6 +545,24 @@ EXTREMAL_BUDGET_GUARD = 1_000_000
 EXTREMAL_CHUNK = 256
 
 
+def _extremal_candidates(frame_g: PSchauderFrame, cap: int, rng: np.random.Generator, draws: int):
+    """``(support, coefficients)`` rows in ``extremal_search`` order: every
+    support of 1..cap atoms, lexicographic within a cardinality, with
+    coefficient 1, then ``draws`` seeded random supports with standard
+    (complex) normal coefficients, drawn row by row."""
+    n = frame_g.n_atoms
+    for card in range(1, cap + 1):
+        for supp in itertools.combinations(range(n), card):
+            yield list(supp), 1.0
+    for _ in range(draws):
+        card = int(rng.integers(1, cap + 1))
+        supp = np.sort(rng.choice(n, size=card, replace=False))
+        if frame_g.field == COMPLEX:
+            yield supp, (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
+        else:
+            yield supp, rng.standard_normal(card)
+
+
 def extremal_search(
     frame_f: PSchauderFrame,
     frame_g: PSchauderFrame,
@@ -572,52 +594,29 @@ def extremal_search(
     if cap < 1:
         raise FrameError("max_card must be at least 1")
 
-    rng = _seeded_rng(seed)
-    dtype = frame_g.vectors.dtype
+    candidates = _extremal_candidates(frame_g, cap, _seeded_rng(seed), 10 * budget)
     best: UncertaintyReport | None = None
     best_x: np.ndarray | None = None
     evaluated = 0
-
-    def consider(values: np.ndarray) -> None:
-        # values: (k, n) coefficient rows, at most budget - evaluated of them,
-        # so the budget is never overrun.  The stacked vector-matrix product
-        # gives each row the same bits as ``synthesis`` does.
-        nonlocal best, best_x, evaluated
+    while evaluated < budget:
+        # at most budget - evaluated rows, so the budget is never overrun
+        chunk = list(itertools.islice(candidates, min(EXTREMAL_CHUNK, budget - evaluated)))
+        if not chunk:
+            break
+        values = np.zeros((len(chunk), n), dtype=frame_g.vectors.dtype)
+        for row, (supp, coeffs) in zip(values, chunk):
+            row[supp] = coeffs
+        # the stacked vector-matrix product gives each row the same bits as
+        # ``synthesis`` does
         xs = np.matmul((frame_g.space.weights * values)[:, None, :], frame_g.vectors)[:, 0, :]
         xs = xs[xs.any(axis=1)]
         if not len(xs):
-            return
+            continue
         reports = uncertainty_batch(frame_f, frame_g, xs, eps)
         evaluated += len(reports)
         i = int(np.argmin([rep.lhs1 for rep in reports]))
         if best is None or reports[i].lhs1 < best.lhs1:
             best, best_x = reports[i], xs[i].copy()
-
-    supports = itertools.chain.from_iterable(
-        itertools.combinations(range(n), card) for card in range(1, cap + 1)
-    )
-    while evaluated < budget:
-        chunk = list(itertools.islice(supports, min(EXTREMAL_CHUNK, budget - evaluated)))
-        if not chunk:
-            break
-        values = np.zeros((len(chunk), n), dtype=dtype)
-        for row, supp in zip(values, chunk):
-            row[list(supp)] = 1.0
-        consider(values)
-
-    attempts = 0
-    while evaluated < budget and attempts < 10 * budget:
-        k = min(EXTREMAL_CHUNK, budget - evaluated, 10 * budget - attempts)
-        attempts += k
-        values = np.zeros((k, n), dtype=dtype)
-        for row in values:
-            card = int(rng.integers(1, cap + 1))
-            supp = np.sort(rng.choice(n, size=card, replace=False))
-            if frame_g.field == COMPLEX:
-                row[supp] = (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
-            else:
-                row[supp] = rng.standard_normal(card)
-        consider(values)
 
     if best is None or best_x is None:
         raise FrameError("no nonzero candidate vector could be synthesized")

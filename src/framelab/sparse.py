@@ -32,6 +32,7 @@ from .frames import (
     FrameError,
     PSchauderFrame,
     ResourceGuardError,
+    _as_input_vector,
     _check_tolerance,
     _seeded_rng,
     synthesis,
@@ -59,15 +60,9 @@ class SparseProblem:
     eps_residual: float | None = None
 
     def __post_init__(self):
-        h = np.asarray(self.target)
-        if h.ndim != 1 or h.size != self.frame.dimension:
-            raise FrameError("target length must equal the frame dimension")
-        if self.frame.field != COMPLEX and np.iscomplexobj(h):
-            raise FrameError("real frames take real targets only")
-        dtype = np.complex128 if self.frame.field == COMPLEX else np.float64
-        h = h.astype(dtype, copy=True)
-        if not np.all(np.isfinite(h)):
-            raise FrameError("target must be finite (no NaN/Inf)")
+        # a copy: the checked vector may alias the caller's array, which
+        # must not be frozen
+        h = _as_input_vector(self.frame, self.target).copy()
         h.setflags(write=False)
         object.__setattr__(self, "target", h)
         _check_tolerance("eps_residual", self.eps_residual)
@@ -111,13 +106,15 @@ def gram_coherence(frame: PSchauderFrame, normalized: bool = False) -> float:
     if frame.p != 2.0:
         raise FrameError("coherence uses the Hilbert pairing; p must be 2")
     v = frame.vectors
-    gram = np.abs(v @ v.conj().T)
-    if normalized:
-        norms = np.sqrt(np.real(np.diag(v @ v.conj().T)))
-        keep = norms > 0
-        if keep.sum() < 2:
-            return 0.0
-        gram = gram[np.ix_(keep, keep)] / np.outer(norms[keep], norms[keep])
+    # an overflowing diagonal entry is dropped below; it must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.abs(v @ v.conj().T)
+        if normalized:
+            norms = np.sqrt(np.real(np.diag(v @ v.conj().T)))
+            keep = norms > 0
+            if keep.sum() < 2:
+                return 0.0
+            gram = gram[np.ix_(keep, keep)] / np.outer(norms[keep], norms[keep])
     np.fill_diagonal(gram, 0.0)
     return float(gram.max())
 
@@ -388,7 +385,8 @@ def conjecture_probe(
 
     The threshold is computed verbatim over all distinct index pairs; the
     variant that skips bit-identical atom vectors is reported alongside for
-    comparison.  Counterexamples carry the full frame inline for replay.
+    comparison.  Counterexamples carry the full frame inline for replay
+    (one shared ``frame_to_obj`` dict).
     The returned report is a plain JSON-serializable dict and is a pure
     function of (frame, trials, seed, eps_residual).
     """
@@ -421,6 +419,7 @@ def conjecture_probe(
     records = []
     counterexamples = []
     confirmations = 0
+    frame_obj = frame_to_obj(frame)
     for t in range(trials if feasible else 0):
         support = feasible[int(rng.integers(len(feasible)))]
         k = len(support)
@@ -457,7 +456,7 @@ def conjecture_probe(
                 {
                     **record,
                     "seed": int(seed),
-                    "frame": frame_to_obj(frame),
+                    "frame": frame_obj,
                 }
             )
     report.update(

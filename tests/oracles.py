@@ -158,15 +158,40 @@ def legacy_screen_residuals(cols: np.ndarray, target: np.ndarray, supports) -> n
 
 # ---------------------------------------------------------------------------
 # FROZEN REFERENCE: the frame-file writer as it was before ``frame_json``
-# wrote the canonical text directly.  The layout contract of frame files
-# is defined as these bytes; test_frame_io.py requires the writer and the
-# digest to reproduce them.
+# wrote the canonical text directly and before one array conversion made
+# every JSON cell: a per-atom, per-scalar encoder fed to ``json.dumps``.
+# The layout contract of frame files is defined as these bytes;
+# test_frame_io.py requires the writer, the digest and ``frame_to_obj`` to
+# reproduce them.  Do not share code with framelab.frame_io.
+
+
+def _encode_scalar(value, field):
+    if field == "complex":
+        z = complex(value)
+        return [float(z.real), float(z.imag)]
+    return float(np.real(value))
+
+
+def legacy_frame_to_obj(frame):
+    atoms = []
+    for i in range(frame.n_atoms):
+        atoms.append(
+            {
+                "weight": float(frame.space.weights[i]),
+                "functional": [_encode_scalar(v, frame.field) for v in frame.functionals[i]],
+                "vector": [_encode_scalar(v, frame.field) for v in frame.vectors[i]],
+            }
+        )
+    return {
+        "field": frame.field,
+        "p": float(frame.p),
+        "dimension": frame.dimension,
+        "atoms": atoms,
+    }
 
 
 def legacy_frame_json(frame):
-    from framelab.frame_io import frame_to_obj
-
-    return json.dumps(frame_to_obj(frame), indent=2)
+    return json.dumps(legacy_frame_to_obj(frame), indent=2)
 
 
 # ---------------------------------------------------------------------------

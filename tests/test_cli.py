@@ -331,6 +331,39 @@ def test_coherence_pair(dft_files, capsys):
     assert data["coh_fg"] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("command", ["check", "coherence"])
+def test_overflowing_cross_coherence_is_one_line_domain_error(command, field, tmp_path, capsys):
+    from framelab import PSchauderFrame, counting_measure
+
+    if field == "complex":  # a finite pairing whose magnitude overflows
+        frame = PSchauderFrame(counting_measure(1), 2.0, [[1.7e308, 1.7e308j]], [[1.0, 1.0]], "complex")
+    else:  # a pairing that overflows
+        frame = PSchauderFrame(counting_measure(1), 2.0, [[1.7e308, 1.7e308]], [[1.7e308, 1.7e308]], "real")
+    path = str(tmp_path / "f.json")
+    save_frame(frame, path)
+    if command == "check":
+        argv = ["check", "--frame-f", path, "--frame-g", path, "--x", "1,1"]
+    else:
+        argv = ["coherence", "--frame", path, "--frame-g", path]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cross-coherence is not a finite double: a pairing magnitude overflows\n"
+
+
+def test_coherence_with_an_overflowing_atom_norm_prints_no_warning(tmp_path, capsys):
+    from framelab import PSchauderFrame, counting_measure
+
+    frame = PSchauderFrame(counting_measure(2), 2.0, np.eye(2), [[1.7e308, 1.7e308], [1.0, 0.0]], "real")
+    path = tmp_path / "f.json"
+    save_frame(frame, path)
+    code, out, err = run_cli("coherence", "--frame", str(path), capsys=capsys)
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["gram_coherence"] == 1.7e308
+
+
 # ---------------------------------------------------------------- check
 
 
@@ -555,6 +588,27 @@ def test_sparse_stdout_bytes(case, tmp_path, capsys):
     else:
         assert code == 0
         assert all(len(c) == 2 for c in json.loads(out)["coefficients"])  # [re, im] pairs
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        ("1,2,3", "vector length 3 does not match frame dimension 2"),
+        ("nan,1", "vector entries must be finite (no NaN/Inf)"),
+        # refused by the CLI's parser before the problem is built
+        ("1:1,2", "real frames take real vectors"),
+    ],
+    ids=["length", "non-finite", "complex"],
+)
+def test_sparse_bad_target_is_one_line_domain_error(target, message, tmp_path, capsys):
+    from framelab import canonical_lp
+
+    path = tmp_path / "c.json"
+    save_frame(canonical_lp(2, 2.0), path)
+    code, out, err = run_cli("sparse", "--frame", str(path), "--target", target, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_sparse_rejects_non_numeric_inline_target(tmp_path, capsys):

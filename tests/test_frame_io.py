@@ -24,6 +24,7 @@ from framelab import (
     save_frame,
     weighted_split,
 )
+from framelab.frame_io import vector_to_obj
 
 
 def test_round_trip_reproduces_every_double(zoo_frames, tmp_path):
@@ -241,3 +242,43 @@ def _random_frames(draw):
 @given(frame=_random_frames())
 def test_writer_matches_oracle_on_random_finite_tables(frame):
     _assert_writer_matches_oracle(frame)
+
+
+# ------------------------------------- objects == frozen per-scalar encoder
+
+
+def _assert_obj_matches_frozen_encoder(frame):
+    got, want = frame_to_obj(frame), oracles.legacy_frame_to_obj(frame)
+    assert got == want
+    # bytes too: == on floats cannot tell -0.0 from 0.0
+    got_text, want_text = json.dumps(got, indent=2), json.dumps(want, indent=2)
+    if got_text != want_text:
+        at = len(os.path.commonprefix([got_text, want_text]))
+        pytest.fail(f"object differs at char {at}: {got_text[at - 30:at + 30]!r}")
+
+
+@pytest.mark.parametrize("frame", [pytest.param(frame, id=name) for name, frame in _oracle_frames()])
+def test_frame_obj_matches_frozen_encoder(frame):
+    _assert_obj_matches_frozen_encoder(frame)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=_random_frames())
+def test_frame_obj_matches_frozen_encoder_on_random_finite_tables(frame):
+    _assert_obj_matches_frozen_encoder(frame)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([3, -1, 0]),
+        np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1]),
+        np.array([complex(-0.0, 5e-324), complex(5e-324, -0.0), 1 - 2.5j]),
+    ],
+    ids=["int", "float", "complex"],
+)
+def test_vector_obj_matches_frozen_encoder(values, field):
+    got, want = vector_to_obj(values, field), oracles.legacy_encode_values(values, field)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)

@@ -248,6 +248,25 @@ def test_cross_coherence_degenerate_pair():
         uncertainty_check(frame, zero, np.array([1.0, 0.0]))
 
 
+OVERFLOWING_PAIRINGS = {
+    # finite pairing 1.7e308 + 1.7e308j whose magnitude overflows
+    "complex": PSchauderFrame(counting_measure(1), 2.0, [[1.7e308, 1.7e308j]], [[1.0, 1.0]], "complex"),
+    # the pairing itself overflows
+    "real": PSchauderFrame(counting_measure(1), 2.0, [[1.7e308, 1.7e308]], [[1.7e308, 1.7e308]], "real"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OVERFLOWING_PAIRINGS))
+def test_cross_coherence_refuses_an_overflowing_pairing(field):
+    frame = OVERFLOWING_PAIRINGS[field]
+    message = "^cross-coherence is not a finite double: a pairing magnitude overflows$"
+    with pytest.raises(FrameError, match=message):
+        cross_coherence(frame, frame)
+    for _ in range(2):  # the refusal is never memoized as a bound of 0
+        with pytest.raises(FrameError, match=message):
+            uncertainty_check(frame, frame, np.ones(2))
+
+
 def test_cross_coherence_requires_matching_shapes():
     with pytest.raises(FrameError):
         cross_coherence(canonical_lp(2, 2.0), canonical_lp(3, 2.0))

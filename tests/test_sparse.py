@@ -47,6 +47,12 @@ def test_gram_coherence_mercedes():
     assert gram_coherence(mercedes_benz()) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
+def test_gram_coherence_ignores_an_overflowing_diagonal_without_warning():
+    # |atom 0|^2 overflows, but only the finite pairing 1.7e308 is compared
+    frame = PSchauderFrame(counting_measure(2), 2.0, np.eye(2), [[1.7e308, 1.7e308], [1.0, 0.0]], "real")
+    assert gram_coherence(frame) == 1.7e308
+
+
 def test_gram_coherence_normalized_variant():
     # raw pairings of the tight triangle are 1/3; unit-norm pairings are 1/2
     assert gram_coherence(mercedes_benz(), normalized=True) == pytest.approx(0.5, abs=1e-12)
@@ -353,6 +359,15 @@ def test_non_finite_eps_residual_is_refused(eps):
             conjecture_probe(frame, trials=3, eps_residual=eps)
 
 
+def test_probe_counterexamples_carry_the_frozen_frame_encoding():
+    frame = weighted_split(random_parseval(6, 13, seed=0), 0, 2)
+    report = conjecture_probe(frame, trials=20, seed=3)
+    assert report["counterexamples"]
+    frozen = json.dumps(oracles.legacy_frame_to_obj(frame), indent=2)
+    for counterexample in report["counterexamples"]:
+        assert json.dumps(counterexample["frame"], indent=2) == frozen
+
+
 def test_probe_reports_are_deterministic():
     frame = weighted_split(mercedes_benz(), 0, 2)
     a = conjecture_probe(frame, trials=25, seed=99)
@@ -534,3 +549,28 @@ def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
     assert engine == report()
     # the frozen path really ran: one frozen solve per trial, one frozen pool
     assert calls == {"trials": 12, "pools": 1}
+
+
+# ------------------------------------------------------------- targets
+
+
+@pytest.mark.parametrize(
+    "target,message",
+    [
+        (np.ones(3), "vector length 3 does not match frame dimension 2"),
+        (np.array([1j, 0.0]), "real frames act on real vectors only"),
+        (np.array([np.nan, 0.0]), r"vector entries must be finite \(no NaN/Inf\)"),
+    ],
+    ids=["length", "complex", "non-finite"],
+)
+def test_sparse_problem_refuses_targets_like_any_input_vector(target, message):
+    with pytest.raises(FrameError, match=f"^{message}$"):
+        SparseProblem(canonical_lp(2, 2.0), target)
+
+
+def test_sparse_problem_freezes_its_own_copy_of_the_target():
+    target = np.array([1.0, 2.0])
+    problem = SparseProblem(canonical_lp(2, 2.0), target)
+    assert target.flags.writeable and not problem.target.flags.writeable
+    target[0] = 5.0
+    assert problem.target.tolist() == [1.0, 2.0]
