@@ -86,10 +86,7 @@ def _load_vector(inline: str | None, path: str | None, field: str) -> np.ndarray
     if (inline is None) == (path is None):
         raise FrameError("provide the vector inline or as a file, not both")
     if inline is not None:
-        vec = _parse_inline_vector(inline)
-        if field == REAL and np.iscomplexobj(vec):
-            raise FrameError("real frames take real vectors")
-        return vec
+        return _parse_inline_vector(inline)
     obj = json.loads(Path(path).read_text())
     return frame_io.vector_from_obj(obj, field)
 

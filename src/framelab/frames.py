@@ -80,6 +80,11 @@ class MeasureSpace:
         _finite_or_raise(w, "weights")
         if np.any(w <= 0):
             raise FrameError("every atom weight must be strictly positive")
+        # every support weight is at most the total, so no later fsum overflows
+        try:
+            math.fsum(w)
+        except OverflowError:
+            raise FrameError("the total weight overflows a double") from None
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -327,7 +332,8 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
     second family's vectors) and symmetrically ``coh_gf = max_ij |g_j(tau_i)|``.
     Raises ``DegeneratePairError`` when either maximum vanishes, since the
     reciprocal bound is then undefined, and ``FrameError`` when either is not
-    finite (a pairing overflows), since a bound of 0 would pass every vector.
+    finite (a pairing overflows), since a bound of 0 would pass every vector,
+    or when either reciprocal bound overflows, since it would fail every one.
     """
     if frame_f.dimension != frame_g.dimension:
         raise FrameError("frames must share the ambient dimension")
@@ -340,6 +346,8 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
         raise FrameError("cross-coherence is not a finite double: a pairing magnitude overflows")
     if coh_fg == 0.0 or coh_gf == 0.0:
         raise DegeneratePairError("zero cross-coherence: support bound undefined")
+    if not (math.isfinite(1.0 / coh_fg) and math.isfinite(1.0 / coh_gf)):
+        raise FrameError("cross-coherence is too small: its reciprocal bound overflows")
     return coh_fg, coh_gf
 
 
@@ -466,17 +474,22 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _standard_normal(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard normal entries; for a complex field, standard complex normal
+    ``(re + 1j*im)/sqrt(2)`` with every real part drawn before the imaginary
+    parts."""
+    if field == COMPLEX:
+        re = rng.standard_normal(shape)
+        return (re + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return rng.standard_normal(shape)
+
+
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """(count, dimension) array of i.i.d. standard normal entries; complex
     entries are standard complex normal.  Deterministic per seed.  Refuses
     tables beyond ``VALIDATION_GUARD`` scalars."""
     _check_table_guard(count, dimension)
-    rng = _seeded_rng(seed)
-    if field == COMPLEX:
-        re = rng.standard_normal((count, dimension))
-        im = rng.standard_normal((count, dimension))
-        return (re + 1j * im) / np.sqrt(2.0)
-    return rng.standard_normal((count, dimension))
+    return _standard_normal(_seeded_rng(seed), (count, dimension), field)
 
 
 def validate_frame(
@@ -494,7 +507,7 @@ def validate_frame(
 
     The report passes when both maxima are at most ``tol``, which must be
     finite and nonnegative.  Refuses ``trials * max(n_atoms, dimension)``
-    beyond ``VALIDATION_GUARD``.
+    beyond ``VALIDATION_GUARD``, and raises when a residual overflows.
     """
     _check_tolerance("tol", tol)
     if trials < 1:
@@ -504,16 +517,20 @@ def validate_frame(
     p = frame.p
     w = frame.space.weights
 
-    coeffs = xs @ frame.functionals.T                       # (trials, n)
-    norms_p = np.sum(np.abs(xs) ** p, axis=1)               # ||x||_p^p
-    iso = np.abs(np.sum(w * np.abs(coeffs) ** p, axis=1) - norms_p) / norms_p
+    # an overflow is refused below, so it must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = xs @ frame.functionals.T                   # (trials, n)
+        norms_p = np.sum(np.abs(xs) ** p, axis=1)           # ||x||_p^p
+        iso = np.abs(np.sum(w * np.abs(coeffs) ** p, axis=1) - norms_p) / norms_p
 
-    rebuilt = (w * coeffs) @ frame.vectors
-    rec_err = np.sum(np.abs(rebuilt - xs) ** p, axis=1) ** (1.0 / p)
-    rec = rec_err / norms_p ** (1.0 / p)
+        rebuilt = (w * coeffs) @ frame.vectors
+        rec_err = np.sum(np.abs(rebuilt - xs) ** p, axis=1) ** (1.0 / p)
+        rec = rec_err / norms_p ** (1.0 / p)
 
     max_iso = float(iso.max())
     max_rec = float(rec.max())
+    if not (math.isfinite(max_iso) and math.isfinite(max_rec)):
+        raise FrameError("frame axiom residuals are not finite doubles: the tables overflow")
     return ValidationReport(
         trials=trials,
         tol=tol,
@@ -557,10 +574,7 @@ def _extremal_candidates(frame_g: PSchauderFrame, cap: int, rng: np.random.Gener
     for _ in range(draws):
         card = int(rng.integers(1, cap + 1))
         supp = np.sort(rng.choice(n, size=card, replace=False))
-        if frame_g.field == COMPLEX:
-            yield supp, (rng.standard_normal(card) + 1j * rng.standard_normal(card)) / np.sqrt(2.0)
-        else:
-            yield supp, rng.standard_normal(card)
+        yield supp, _standard_normal(rng, card, frame_g.field)
 
 
 def extremal_search(

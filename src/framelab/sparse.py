@@ -14,7 +14,8 @@ supports is built; one guard on the support count refuses a plan before
 any of it is built.  One R factor of [A_S | target] screens each chunk of
 supports S, and the exact per-support least-squares fit makes every decision.
 ``conjecture_probe`` plans once, plants random low-weight supports and
-reports, never asserts, whether weight minimization recovers them uniquely.
+reports, never asserts, whether weight minimization recovers them uniquely;
+its totals and counterexamples are derived from its list of trial records.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .frame_io import frame_digest, frame_to_obj, json_number, vector_to_obj
 from .frames import (
-    COMPLEX,
     CoefficientFunction,
     FrameError,
     PSchauderFrame,
@@ -35,6 +35,7 @@ from .frames import (
     _as_input_vector,
     _check_tolerance,
     _seeded_rng,
+    _standard_normal,
     synthesis,
 )
 
@@ -97,9 +98,9 @@ def gram_coherence(frame: PSchauderFrame, normalized: bool = False) -> float:
 
     Computed verbatim on the stored vectors: no unit-norm rescaling is
     applied unless ``normalized`` is set (classical statements assume unit
-    atoms; the flag enables that comparison, skipping zero atoms).
-    Orthogonal families return 0, which callers should treat as an
-    unbounded sparsity threshold.
+    atoms; the flag enables that comparison, skipping zero atoms, and
+    refuses an atom whose norm overflows).  Orthogonal families return 0,
+    which callers should treat as an unbounded sparsity threshold.
     """
     if frame.n_atoms < 2:
         raise FrameError("coherence needs at least two atoms")
@@ -111,6 +112,8 @@ def gram_coherence(frame: PSchauderFrame, normalized: bool = False) -> float:
         gram = np.abs(v @ v.conj().T)
         if normalized:
             norms = np.sqrt(np.real(np.diag(v @ v.conj().T)))
+            if not np.isfinite(norms).all():
+                raise FrameError("an atom norm is not a finite double: normalized coherence is undefined")
             keep = norms > 0
             if keep.sum() < 2:
                 return 0.0
@@ -385,8 +388,9 @@ def conjecture_probe(
 
     The threshold is computed verbatim over all distinct index pairs; the
     variant that skips bit-identical atom vectors is reported alongside for
-    comparison.  Counterexamples carry the full frame inline for replay
-    (one shared ``frame_to_obj`` dict).
+    comparison.  One pass builds the trial records; the totals and the
+    counterexamples are derived from them, and counterexamples carry the full
+    frame inline for replay (one shared ``frame_to_obj`` dict).
     The returned report is a plain JSON-serializable dict and is a pure
     function of (frame, trials, seed, eps_residual).
     """
@@ -402,7 +406,28 @@ def conjecture_probe(
     coh_distinct = _distinct_vector_coherence(frame)
     thr_all = uniqueness_threshold(coh_all)
     thr_distinct = uniqueness_threshold(coh_distinct)
-    feasible = _planted_pool(members, plan, thr_all)
+    pool = _planted_pool(members, plan, thr_all)
+    records = []
+    for t in range(trials if pool else 0):
+        support = pool[int(rng.integers(len(pool)))]
+        values = np.zeros(n, dtype=frame.vectors.dtype)
+        values[list(support)] = _standard_normal(rng, len(support), frame.field)
+        target = synthesis(frame, CoefficientFunction(frame.space, values))
+        solution = _walk(SparseProblem(frame, target, eps_residual), members, plan)
+        weight = math.fsum(w[list(support)])
+        records.append({
+            "trial": t,
+            "planted_support": list(support),
+            "planted_coefficients": vector_to_obj(values, frame.field),
+            "planted_weight": weight,
+            "hypothesis_distinct_vectors": bool(weight < thr_distinct),
+            "recovered_support": list(solution.support),
+            "recovered_weight": solution.support_weight,
+            "unique": solution.unique,
+            "residual": json_number(solution.residual),
+            "confirmed": solution.status == SOLVED and solution.support == support and solution.unique,
+        })
+    frame_obj = frame_to_obj(frame)
     report = {
         "schema_version": 1,
         "kind": "measure-minimization-probe",
@@ -415,60 +440,13 @@ def conjecture_probe(
         "threshold_all_pairs": json_number(thr_all),
         "threshold_distinct_vectors": json_number(thr_distinct),
         "frame_sha256": frame_digest(frame),
+        "hypothesis_satisfiable": bool(pool),
+        "trials_run": len(records),
+        "trials_skipped": int(trials) - len(records),
+        "confirmations": sum(r["confirmed"] for r in records),
+        "counterexamples": [{**r, "seed": int(seed), "frame": frame_obj} for r in records if not r["confirmed"]],
+        "trial_records": records,
     }
-    records = []
-    counterexamples = []
-    confirmations = 0
-    frame_obj = frame_to_obj(frame)
-    for t in range(trials if feasible else 0):
-        support = feasible[int(rng.integers(len(feasible)))]
-        k = len(support)
-        if frame.field == COMPLEX:
-            coeff = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
-        else:
-            coeff = rng.standard_normal(k)
-        values = np.zeros(n, dtype=np.complex128 if frame.field == COMPLEX else np.float64)
-        values[list(support)] = coeff
-        planted = CoefficientFunction(frame.space, values)
-        target = synthesis(frame, planted)
-        solution = _walk(SparseProblem(frame, target, eps_residual), members, plan)
-        confirmed = bool(
-            solution.status == SOLVED and solution.support == support and solution.unique
-        )
-        weight = math.fsum(w[list(support)])
-        record = {
-            "trial": t,
-            "planted_support": list(support),
-            "planted_coefficients": vector_to_obj(values, frame.field),
-            "planted_weight": weight,
-            "hypothesis_distinct_vectors": bool(weight < thr_distinct),
-            "recovered_support": list(solution.support),
-            "recovered_weight": solution.support_weight,
-            "unique": solution.unique,
-            "residual": json_number(solution.residual),
-            "confirmed": confirmed,
-        }
-        records.append(record)
-        if confirmed:
-            confirmations += 1
-        else:
-            counterexamples.append(
-                {
-                    **record,
-                    "seed": int(seed),
-                    "frame": frame_obj,
-                }
-            )
-    report.update(
-        {
-            "hypothesis_satisfiable": bool(feasible),
-            "trials_run": len(records),
-            "trials_skipped": int(trials) - len(records),
-            "confirmations": confirmations,
-            "counterexamples": counterexamples,
-            "trial_records": records,
-        }
-    )
-    if not feasible:
+    if not pool:
         report["note"] = "hypothesis unsatisfiable: no nonempty support has weight below the threshold"
     return report

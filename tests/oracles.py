@@ -416,3 +416,102 @@ def legacy_sparse_stdout(frame, solution, mode):
     if solution.coefficients is not None:
         out["coefficients"] = legacy_encode_values(solution.coefficients.values, frame.field)
     return json.dumps(out, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the measure-minimization probe as it was when it kept
+# running tallies beside its trial records and wrote its report in two
+# stages.  Every trial is solved by the frozen weight solver above, the
+# planted pool is the frozen light-support list, the coherences are the raw
+# Gram maximum and the distinct-vector double loop, and the frame is encoded
+# by the frozen per-scalar writer.  test_sparse.py requires the probe to
+# reproduce these reports byte for byte.  Valid inputs only: the probe's own
+# argument checks are left out.  Do not share code with framelab.sparse;
+# only the problem type and the public synthesis are taken from framelab.
+
+
+def legacy_conjecture_probe(frame, trials, seed=0, eps_residual=None):
+    import hashlib
+
+    from framelab import CoefficientFunction, SparseProblem, synthesis
+
+    def number(value):
+        return value if math.isfinite(value) else "unbounded"
+
+    def threshold(coh):
+        return math.inf if coh == 0.0 else 0.5 * (1.0 + 1.0 / coh)
+
+    rng = np.random.default_rng(seed)
+    n, w, v = frame.n_atoms, frame.space.weights, frame.vectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.abs(v @ v.conj().T)
+    np.fill_diagonal(gram, 0.0)
+    coh_all = float(gram.max())
+    coh_distinct = 0.0
+    for j in range(n):
+        for k in range(j + 1, n):
+            if np.array_equal(v[j], v[k]):
+                continue
+            coh_distinct = max(coh_distinct, float(np.abs(np.vdot(v[k], v[j]))))
+    thr_all, thr_distinct = threshold(coh_all), threshold(coh_distinct)
+    feasible = legacy_light_supports(w, thr_all)
+    report = {
+        "schema_version": 1,
+        "kind": "measure-minimization-probe",
+        "seed": int(seed),
+        "trials_requested": int(trials),
+        "eps_residual": eps_residual,
+        "eps_residual_policy": "1e-8 * l2(target) when eps_residual is null",
+        "coherence_all_pairs": coh_all,
+        "coherence_distinct_vectors": coh_distinct,
+        "threshold_all_pairs": number(thr_all),
+        "threshold_distinct_vectors": number(thr_distinct),
+        "frame_sha256": hashlib.sha256(legacy_frame_json(frame).encode()).hexdigest(),
+    }
+    records = []
+    counterexamples = []
+    confirmations = 0
+    frame_obj = legacy_frame_to_obj(frame)
+    for t in range(trials if feasible else 0):
+        support = feasible[int(rng.integers(len(feasible)))]
+        k = len(support)
+        if frame.field == "complex":
+            coeff = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) / np.sqrt(2.0)
+        else:
+            coeff = rng.standard_normal(k)
+        values = np.zeros(n, dtype=np.complex128 if frame.field == "complex" else np.float64)
+        values[list(support)] = coeff
+        target = synthesis(frame, CoefficientFunction(frame.space, values))
+        solution = legacy_measure_min(SparseProblem(frame, target, eps_residual))
+        confirmed = bool(solution.status == "solved" and solution.support == support and solution.unique)
+        weight = math.fsum(w[list(support)])
+        record = {
+            "trial": t,
+            "planted_support": list(support),
+            "planted_coefficients": legacy_encode_values(values, frame.field),
+            "planted_weight": weight,
+            "hypothesis_distinct_vectors": bool(weight < thr_distinct),
+            "recovered_support": list(solution.support),
+            "recovered_weight": solution.support_weight,
+            "unique": solution.unique,
+            "residual": number(solution.residual),
+            "confirmed": confirmed,
+        }
+        records.append(record)
+        if confirmed:
+            confirmations += 1
+        else:
+            counterexamples.append({**record, "seed": int(seed), "frame": frame_obj})
+    report.update(
+        {
+            "hypothesis_satisfiable": bool(feasible),
+            "trials_run": len(records),
+            "trials_skipped": int(trials) - len(records),
+            "confirmations": confirmations,
+            "counterexamples": counterexamples,
+            "trial_records": records,
+        }
+    )
+    if not feasible:
+        report["note"] = "hypothesis unsatisfiable: no nonempty support has weight below the threshold"
+    return report

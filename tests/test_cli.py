@@ -595,8 +595,8 @@ def test_sparse_stdout_bytes(case, tmp_path, capsys):
     [
         ("1,2,3", "vector length 3 does not match frame dimension 2"),
         ("nan,1", "vector entries must be finite (no NaN/Inf)"),
-        # refused by the CLI's parser before the problem is built
-        ("1:1,2", "real frames take real vectors"),
+        # refused by the library, in the one wording of every entry point
+        ("1:1,2", "real frames act on real vectors only"),
     ],
     ids=["length", "non-finite", "complex"],
 )
@@ -669,6 +669,59 @@ def test_sparse_guard_refuses_many_atoms_in_one_line(mode, wide_frame, capsys):
     assert code == 4
     assert out == ""
     assert err == "resource guard: more than 10000000 candidate supports of at most 20000 of 20000 atoms\n"
+
+
+# ------------------------------------------------------------ overflow
+
+
+def _write_real_frame(path, weights, functionals, vectors):
+    # written by hand: a frame the library refuses cannot be saved
+    atoms = [{"weight": w, "functional": f, "vector": v} for w, f, v in zip(weights, functionals, vectors)]
+    path.write_text(json.dumps({"field": "real", "p": 2.0, "dimension": len(functionals[0]), "atoms": atoms}))
+    return str(path)
+
+
+_HEAVY_ARGV = {
+    "check": ["check", "--frame-f", "{f}", "--frame-g", "{f}", "--x", "1,1"],
+    "extremal": ["extremal", "--frame-f", "{f}", "--frame-g", "{f}"],
+    "sparse": ["sparse", "--frame", "{f}", "--mode", "measure", "--target", "1,1"],
+    "probe": ["probe", "--frame", "{f}", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HEAVY_ARGV))
+def test_total_weight_that_overflows_is_one_line_domain_error(command, tmp_path, capsys):
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path = _write_real_frame(tmp_path / "heavy.json", [1e308, 1e308], eye, eye)
+    code, out, err = run_cli(*[a.format(f=path) for a in _HEAVY_ARGV[command]], capsys=capsys)
+    assert (code, out, err) == (2, "", "error: the total weight overflows a double\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["check", "--frame-f", "{t}", "--frame-g", "{t}", "--x", "1,0"],
+         "cross-coherence is too small: its reciprocal bound overflows"),
+        (["extremal", "--frame-f", "{t}", "--frame-g", "{t}"],
+         "cross-coherence is too small: its reciprocal bound overflows"),
+        (["coherence", "--frame", "{n}", "--normalized"],
+         "an atom norm is not a finite double: normalized coherence is undefined"),
+        (["validate", "--frame", "{v}", "--trials", "3"],
+         "frame axiom residuals are not finite doubles: the tables overflow"),
+    ],
+    ids=["check-tiny-coherence", "extremal-tiny-coherence", "normalized-norm", "validate-residuals"],
+)
+def test_non_finite_derived_number_is_one_line_domain_error(argv, message, tmp_path, capsys):
+    tiny = [[1e-155, 0.0], [0.0, 1e-155]]
+    big = [[1e200, 0.0], [0.0, 1.0]]
+    paths = {
+        "t": _write_real_frame(tmp_path / "tiny.json", [1.0, 1.0], tiny, tiny),
+        "n": _write_real_frame(tmp_path / "norm.json", [1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]],
+                               [[1.7e308, 1.7e308], [1.0, 0.0]]),
+        "v": _write_real_frame(tmp_path / "big.json", [1.0, 1.0], big, big),
+    }
+    code, out, err = run_cli(*[a.format(**paths) for a in argv], capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # ----------------------------------------------------------- plumbing

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -233,7 +234,10 @@ def _random_frames(draw):
     values = np.array(draw(cells)).reshape(2, n, d, parts)
     # a view keeps every part exactly, -0.0 included
     tables = values.view(np.complex128)[..., 0] if field == "complex" else values[..., 0]
-    weights = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=n, max_size=n))
+    # at most 4 atoms of at most a quarter of the largest double each, so the
+    # total weight is a double, as MeasureSpace requires
+    heaviest = sys.float_info.max / 4
+    weights = draw(st.lists(st.floats(min_value=0.0, exclude_min=True, max_value=heaviest), min_size=n, max_size=n))
     p = draw(st.floats(min_value=1.0, exclude_min=True, allow_nan=False, allow_infinity=False))
     return PSchauderFrame(MeasureSpace(weights), p, tables[0], tables[1], field)
 

@@ -49,6 +49,13 @@ def test_measure_space_rejects_bad_weights():
         MeasureSpace(np.array([1.0, np.inf]))
 
 
+def test_measure_space_refuses_a_total_weight_that_overflows():
+    # each weight is finite, but their sum is not a double
+    with pytest.raises(FrameError, match="^the total weight overflows a double$"):
+        MeasureSpace(np.array([1e308, 1e308]))
+    assert MeasureSpace(np.array([1e308, 1e307])).total_measure == 1.1e308
+
+
 def test_counting_measure_flag():
     assert counting_measure(3).is_counting
     assert not MeasureSpace(np.array([1.0, 0.5])).is_counting
@@ -267,6 +274,17 @@ def test_cross_coherence_refuses_an_overflowing_pairing(field):
             uncertainty_check(frame, frame, np.ones(2))
 
 
+def test_cross_coherence_refuses_a_reciprocal_bound_that_overflows():
+    # the pairing 1e-310 is finite and nonzero, but 1 / 1e-310 is not a double
+    frame = PSchauderFrame(counting_measure(2), 2.0, 1e-155 * np.eye(2), 1e-155 * np.eye(2))
+    message = "^cross-coherence is too small: its reciprocal bound overflows$"
+    with pytest.raises(FrameError, match=message):
+        cross_coherence(frame, frame)
+    for _ in range(2):  # never memoized
+        with pytest.raises(FrameError, match=message):
+            uncertainty_check(frame, frame, np.array([1.0, 0.0]))
+
+
 def test_cross_coherence_requires_matching_shapes():
     with pytest.raises(FrameError):
         cross_coherence(canonical_lp(2, 2.0), canonical_lp(3, 2.0))
@@ -379,6 +397,14 @@ def test_validate_detects_corrupted_weight():
     rep = validate_frame(broken, trials=100, tol=1e-9, rng_seed=5)
     assert rep.max_isometry_residual > 1e-9
     assert not rep.passes
+
+
+def test_validate_refuses_residuals_that_overflow():
+    # |f_0(x)|^2 overflows; the refusal must not warn either
+    table = [[1e200, 0.0], [0.0, 1.0]]
+    frame = PSchauderFrame(counting_measure(2), 2.0, table, table)
+    with pytest.raises(FrameError, match="^frame axiom residuals are not finite doubles"):
+        validate_frame(frame, trials=3)
 
 
 def test_random_vectors_deterministic():

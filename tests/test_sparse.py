@@ -53,6 +53,12 @@ def test_gram_coherence_ignores_an_overflowing_diagonal_without_warning():
     assert gram_coherence(frame) == 1.7e308
 
 
+def test_gram_coherence_normalized_refuses_an_overflowing_atom_norm():
+    frame = PSchauderFrame(counting_measure(2), 2.0, np.eye(2), [[1.7e308, 1.7e308], [1.0, 0.0]], "real")
+    with pytest.raises(FrameError, match="^an atom norm is not a finite double"):
+        gram_coherence(frame, normalized=True)
+
+
 def test_gram_coherence_normalized_variant():
     # raw pairings of the tight triangle are 1/3; unit-norm pairings are 1/2
     assert gram_coherence(mercedes_benz(), normalized=True) == pytest.approx(0.5, abs=1e-12)
@@ -549,6 +555,38 @@ def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
     assert engine == report()
     # the frozen path really ran: one frozen solve per trial, one frozen pool
     assert calls == {"trials": 12, "pools": 1}
+
+
+def _probe_frames():
+    """The five frames of scripts/probe_weighted_frames.py, a complex split,
+    an orthonormal basis (unbounded threshold), a parallel pair (empty pool)
+    and a split random Parseval frame with counterexamples."""
+    parallel = [[1.0, 0.0], [1.0, 0.0]]
+    return {
+        "split_mercedes": weighted_split(mercedes_benz(), 0, 2),
+        "split_twice_mercedes": weighted_split(weighted_split(mercedes_benz(), 0, 2), 2, 2),
+        "split_random_parseval_3_5": weighted_split(random_parseval(3, 5, seed=5), 1, 2),
+        "harmonic_2_4": harmonic_discretization(2, 4),
+        "harmonic_3_6": harmonic_discretization(3, 6),
+        "split-complex": ENGINE_FRAMES["split-complex"],
+        "canonical": canonical_lp(3, 2.0),
+        "parallel": PSchauderFrame(counting_measure(2), 2.0, parallel, parallel, "real"),
+        "split-parseval-6-13": weighted_split(random_parseval(6, 13, seed=0), 0, 2),
+    }
+
+
+PROBE_FRAMES = _probe_frames()
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FRAMES))
+def test_probe_report_matches_frozen_probe(name):
+    frame = PROBE_FRAMES[name]
+    for seed in (0, 5):
+        for eps in (None, 1e-12):
+            report = conjecture_probe(frame, trials=8, seed=seed, eps_residual=eps)
+            frozen = oracles.legacy_conjecture_probe(frame, trials=8, seed=seed, eps_residual=eps)
+            assert json.dumps(report, indent=2, sort_keys=True) == json.dumps(frozen, indent=2, sort_keys=True)
+            assert json.dumps(report) == json.dumps(frozen), (seed, eps)  # key order too
 
 
 # ------------------------------------------------------------- targets
