@@ -326,7 +326,11 @@ def _build_parser() -> _Parser:
     chk.add_argument("--format", choices=["json", "csv"], default="json")
     chk.set_defaults(func=cmd_check)
 
-    ext = sub.add_parser("extremal", help="search for vectors minimizing the support product")
+    ext = sub.add_parser(
+        "extremal",
+        help="search for vectors minimizing the support product; the reported min_lhs1 is an "
+        "upper bound on the exact minimum of lhs1",
+    )
     ext.add_argument("--frame-f", required=True)
     ext.add_argument("--frame-g", required=True)
     ext.add_argument("--budget", type=int, default=1000)

@@ -282,8 +282,10 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
     peak is 0 keeps none and measures 0.0.  A finite peak means finite
     coefficients; a non-finite one can also come from finite complex parts
     whose ``abs`` overflows, so only then does the exact check run.
-    ``math.fsum`` runs once per distinct mask, so split weights stay
-    bit-exact and repeated masks cost nothing extra.
+    With several weight classes ``math.fsum`` runs once per distinct mask,
+    so split weights stay bit-exact and repeated masks cost nothing extra;
+    with one class each of several rows measures its atom count times the
+    weight.
     """
     weights = frame.space.weights
     if len(rows) == 1:
@@ -303,6 +305,11 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
     if not np.isfinite(peaks).all():
         _finite_or_raise(coeffs, "coefficients")
     masks = mags > eps * peaks
+    w = weights[0]
+    if (weights == w).all():
+        # fsum of c copies of w is the real c*w rounded once, and so is one
+        # IEEE product of the exact integer c by w: the same bits.
+        return (masks.sum(axis=1) * w).tolist()
     _, first, inverse = np.unique(
         np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True
     )
@@ -378,17 +385,37 @@ def _same_exponent(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
         raise FrameError("frames must share the exponent p")
 
 
-def _uncertainty_rows(
+def _row_supports(
     frame_f: PSchauderFrame, frame_g: PSchauderFrame, rows: np.ndarray, eps: float
-) -> list[UncertaintyReport]:
-    """Reports for validated nonzero (m, d) input rows; see ``uncertainty_batch``."""
-    coh_fg, coh_gf = _pair_coherence(frame_f, frame_g)
+) -> tuple[tuple[float, float], list[float], list[float]]:
+    """The pair's cross-coherences and both support measures of every
+    validated nonzero (m, d) input row."""
+    coh = _pair_coherence(frame_f, frame_g)
     _check_tolerance("eps", eps)
-    supports = [_support_measures(frame, rows, eps) for frame in (frame_f, frame_g)]
+    return coh, _support_measures(frame_f, rows, eps), _support_measures(frame_g, rows, eps)
+
+
+def _batch_supports(
+    frame_f: PSchauderFrame, frame_g: PSchauderFrame, X, eps: float
+) -> tuple[tuple[float, float], list[float], list[float]]:
+    """``_row_supports`` of the rows of X, checked as ``uncertainty_batch``
+    checks them."""
+    _same_exponent(frame_f, frame_g)
+    rows = _as_input_rows(frame_f, X)
+    if not rows.any(axis=1).all():
+        raise FrameError("theorem excludes x = 0")
+    return _row_supports(frame_f, frame_g, rows, eps)
+
+
+def _reports(
+    frame_f: PSchauderFrame, coh: tuple[float, float], supps_f: list[float], supps_g: list[float]
+) -> list[UncertaintyReport]:
+    """One report per pair of support measures; see ``uncertainty_check``."""
+    coh_fg, coh_gf = coh
     inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
     bound1, bound2 = 1.0 / coh_fg, 1.0 / coh_gf
     reports = []
-    for supp_f, supp_g in zip(*supports):
+    for supp_f, supp_g in zip(supps_f, supps_g):
         lhs1 = supp_f ** inv_p * supp_g ** inv_q
         lhs2 = supp_g ** inv_p * supp_f ** inv_q
         reports.append(UncertaintyReport(supp_f, supp_g, lhs1, lhs2, coh_fg, coh_gf, bound1, bound2,
@@ -410,11 +437,7 @@ def uncertainty_batch(
     ``uncertainty_check(frame_f, frame_g, X[i], eps)``; any zero row is
     rejected like x = 0 there.
     """
-    _same_exponent(frame_f, frame_g)
-    rows = _as_input_rows(frame_f, X)
-    if not rows.any(axis=1).all():
-        raise FrameError("theorem excludes x = 0")
-    return _uncertainty_rows(frame_f, frame_g, rows, eps)
+    return _reports(frame_f, *_batch_supports(frame_f, frame_g, X, eps))
 
 
 def uncertainty_check(
@@ -439,7 +462,7 @@ def uncertainty_check(
     xv = _as_input_vector(frame_f, x)
     if not xv.any():
         raise FrameError("theorem excludes x = 0")
-    return _uncertainty_rows(frame_f, frame_g, xv[None, :], eps)[0]
+    return _reports(frame_f, *_row_supports(frame_f, frame_g, xv[None, :], eps))[0]
 
 
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
@@ -563,14 +586,16 @@ EXTREMAL_CHUNK = 256
 
 
 def _extremal_candidates(frame_g: PSchauderFrame, cap: int, rng: np.random.Generator, draws: int):
-    """``(support, coefficients)`` rows in ``extremal_search`` order: every
-    support of 1..cap atoms, lexicographic within a cardinality, with
-    coefficient 1, then ``draws`` seeded random supports with standard
-    (complex) normal coefficients, drawn row by row."""
+    """``(support, coefficients)`` pairs of equal-length sequences in
+    ``extremal_search`` order: every support of 1..cap atoms, lexicographic
+    within a cardinality, with all coefficients 1, then ``draws`` seeded
+    random supports with standard (complex) normal coefficients, drawn row
+    by row."""
     n = frame_g.n_atoms
     for card in range(1, cap + 1):
+        ones = (1.0,) * card
         for supp in itertools.combinations(range(n), card):
-            yield list(supp), 1.0
+            yield supp, ones
     for _ in range(draws):
         card = int(rng.integers(1, cap + 1))
         supp = np.sort(rng.choice(n, size=card, replace=False))
@@ -593,11 +618,15 @@ def extremal_search(
     ``max_card``), followed by seeded random support/coefficient draws until
     ``budget`` evaluations are spent.  Candidates that synthesize to x = 0
     are skipped and not counted.  Returns the first minimal observed lhs1
-    and the minimizing vector; the reported minimum is empirical only.
+    and the minimizing vector.  The minimum is observed, not proven: it is
+    an upper bound on the exact minimum of lhs1, which it can exceed.
 
-    Candidates are synthesized and checked ``EXTREMAL_CHUNK`` at a time with
-    ``uncertainty_batch``; the result is the same as checking them one by
-    one, bit for bit.
+    Candidates are synthesized and checked ``EXTREMAL_CHUNK`` at a time in
+    one pass: one scatter fills the chunk's coefficients, one stacked
+    product synthesizes it, the rows are checked as ``uncertainty_batch``
+    checks them, and only the chunk's first minimal row gets a full report.
+    The result is the same as checking the candidates one by one, bit for
+    bit.
     """
     if budget < 1:
         raise FrameError("budget must be at least 1")
@@ -609,6 +638,8 @@ def extremal_search(
         raise FrameError("max_card must be at least 1")
 
     candidates = _extremal_candidates(frame_g, cap, _seeded_rng(seed), 10 * budget)
+    dtype = frame_g.vectors.dtype
+    inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
     best: UncertaintyReport | None = None
     best_x: np.ndarray | None = None
     evaluated = 0
@@ -617,20 +648,27 @@ def extremal_search(
         chunk = list(itertools.islice(candidates, min(EXTREMAL_CHUNK, budget - evaluated)))
         if not chunk:
             break
-        values = np.zeros((len(chunk), n), dtype=frame_g.vectors.dtype)
-        for row, (supp, coeffs) in zip(values, chunk):
-            row[supp] = coeffs
+        cards = [len(supp) for supp, _ in chunk]
+        total = sum(cards)
+        values = np.zeros((len(chunk), n), dtype=dtype)
+        values[
+            np.repeat(np.arange(len(chunk)), cards),
+            np.fromiter(itertools.chain.from_iterable(supp for supp, _ in chunk), np.intp, total),
+        ] = np.fromiter(itertools.chain.from_iterable(coeffs for _, coeffs in chunk), dtype, total)
         # the stacked vector-matrix product gives each row the same bits as
         # ``synthesis`` does
         xs = np.matmul((frame_g.space.weights * values)[:, None, :], frame_g.vectors)[:, 0, :]
         xs = xs[xs.any(axis=1)]
         if not len(xs):
             continue
-        reports = uncertainty_batch(frame_f, frame_g, xs, eps)
-        evaluated += len(reports)
-        i = int(np.argmin([rep.lhs1 for rep in reports]))
-        if best is None or reports[i].lhs1 < best.lhs1:
-            best, best_x = reports[i], xs[i].copy()
+        coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, xs, eps)
+        evaluated += len(xs)
+        # lhs1 as ``_reports`` computes it, so the winner's report repeats it
+        lhs1s = [supp_f ** inv_p * supp_g ** inv_q for supp_f, supp_g in zip(supps_f, supps_g)]
+        i = lhs1s.index(min(lhs1s))
+        if best is None or lhs1s[i] < best.lhs1:
+            best = _reports(frame_f, coh, [supps_f[i]], [supps_g[i]])[0]
+            best_x = xs[i].copy()
 
     if best is None or best_x is None:
         raise FrameError("no nonzero candidate vector could be synthesized")

@@ -67,6 +67,11 @@ class SparseProblem:
         h.setflags(write=False)
         object.__setattr__(self, "target", h)
         _check_tolerance("eps_residual", self.eps_residual)
+        # an infinite norm would make every tolerance and bar infinite, so
+        # the empty support would "fit" any target; refuse it without a warning
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.linalg.norm(h)):
+                raise FrameError("the target's 2-norm overflows a double")
 
     def resolved_tolerance(self) -> float:
         if self.eps_residual is not None:

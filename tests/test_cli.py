@@ -611,6 +611,17 @@ def test_sparse_bad_target_is_one_line_domain_error(target, message, tmp_path, c
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("extra", [[], ["--eps-residual", "1e-6"]], ids=["default-tolerance", "eps-residual"])
+def test_sparse_target_whose_norm_overflows_is_one_line_domain_error(extra, tmp_path, capsys):
+    # it used to warn, answer "solved" with the empty support and exit 0
+    path = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), path)
+    code, out, err = run_cli("sparse", "--frame", str(path), "--target", "1e300,1e300", *extra, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the target's 2-norm overflows a double\n"
+
+
 def test_sparse_rejects_non_numeric_inline_target(tmp_path, capsys):
     from framelab import canonical_lp
 

@@ -1,10 +1,11 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -489,6 +490,60 @@ def test_uncertainty_batch_matches_frozen_per_vector_checker(eps):
     assert checked > 700
 
 
+def _one_class_frame(weight, field, seed, n=12, d=4):
+    # random tables with about half their entries exactly zero, so sparse
+    # inputs give analysis images of many different support counts; the
+    # tables need not form a valid frame
+    rng = np.random.default_rng(seed)
+
+    def table():
+        t = rng.standard_normal((n, d))
+        if field == "complex":
+            t = t + 1j * rng.standard_normal((n, d))
+        return t * (rng.random((n, d)) < 0.5)
+
+    return PSchauderFrame(MeasureSpace(np.full(n, weight)), 2.0, table(), table(), field)
+
+
+def _one_class_pairs():
+    # non-dyadic weights, where count * weight is not trivially exact
+    kinds = [(name, w, field) for name, w in (("0.1", 0.1), ("1/3", 1 / 3)) for field in ("real", "complex")]
+    return [
+        (f"w{name}-{field}", _one_class_frame(w, field, 2 * k), _one_class_frame(w, field, 2 * k + 1))
+        for k, (name, w, field) in enumerate(kinds)
+    ]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-9])
+@pytest.mark.parametrize("pair", _one_class_pairs(), ids=lambda c: c[0])
+def test_one_class_non_dyadic_weights_match_frozen_checker(pair, eps):
+    label, ff, fg = pair
+    rows = [_kernel_rows(ff, seed) for seed in range(6)]
+    rows = np.concatenate(rows + [random_vectors(ff.dimension, 8, ff.field, 1)])
+    batch = uncertainty_batch(ff, fg, rows, eps)
+    for x, rep in zip(rows, batch):
+        expected = _bits(oracles.legacy_uncertainty_check(ff, fg, x, eps))
+        assert _bits(rep) == expected
+        assert _bits(uncertainty_check(ff, fg, x, eps)) == expected
+    # many counts, most of them with a product c * w that is not exact
+    counts = {round(rep.supp_f / ff.space.weights[0]) for rep in batch}
+    assert len(counts) >= 5
+
+
+@given(
+    w=st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+    c=st.integers(0, 10**4),
+)
+@example(w=5e-324, c=10**4)
+@example(w=0.1, c=3)
+@example(w=1 / 3, c=10**4)
+@example(w=1e300, c=0)
+def test_count_times_weight_is_the_correctly_rounded_sum(w, c):
+    # the one-class shortcut in frames._support_measures: fsum of c copies
+    # of w and one product c * w both round the exact real c * w once
+    assert (np.intp(c) * np.float64(w)).item().hex() == math.fsum([w] * c).hex()
+
+
 def test_support_measure_matches_frozen_copy():
     split = weighted_split(canonical_lp(3, 2.0), 0, 3)
     for values in ([1.0, 0.0, 2.0, 1e-12, 3.0], [0.0] * 5, [1e-300, 0.0, 0.0, 0.0, 1.0]):
@@ -518,6 +573,8 @@ def _extremal_cases():
         ("split", zoo["split_mercedes"], zoo["mercedes"], 300, None),
         ("harmonic", zoo["split_harmonic_d4"], zoo["harmonic_d4_n8"], 1000, 3),
     ]
+    for label, ff, fg in _one_class_pairs():
+        cases += [(label, ff, fg, 300, None), (f"{label}/card2", ff, fg, 600, 2)]
     return cases
 
 
@@ -550,6 +607,61 @@ def test_extremal_skips_zero_candidates_uncounted():
     zero_atoms = PSchauderFrame(counting_measure(2), 2.0, [[1.0], [1.0]], [[0.0], [0.0]], "real")
     with pytest.raises(FrameError, match="no nonzero candidate"):
         extremal_search(zero_atoms, zero_atoms, budget=3)
+
+
+def _extremal_error_cases():
+    real2, real3 = canonical_lp(4, 2.0), canonical_lp(4, 3.0)
+    complex2 = dft_pair(4)[1]
+    complex3 = PSchauderFrame(counting_measure(4), 3.0, np.eye(4), np.eye(4), "complex")
+    real2_d3, real3_d3, complex2_d3 = canonical_lp(3, 2.0), canonical_lp(3, 3.0), dft_pair(3)[1]
+    exponent = (FrameError, "frames must share the exponent p")
+    rows_3_in_4 = (FrameError, "input rows of shape (5, 3) do not form an (m, 4) array")
+    rows_4_in_3 = (FrameError, "input rows of shape (5, 4) do not form an (m, 3) array")
+    mismatched = {
+        # (frame_f, frame_g) for the first order; the second swaps them
+        "p": (real2, real3, exponent, exponent),
+        "field": (real2, complex2, (FrameError, "real frames act on real vectors only"),
+                  (FrameError, "frames must share the scalar field")),
+        "dimension": (real2, real2_d3, rows_3_in_4, rows_4_in_3),
+        "p+field": (real2, complex3, exponent, exponent),
+        "p+dimension": (real2, real3_d3, exponent, exponent),
+        "field+dimension": (real2, complex2_d3, rows_3_in_4, rows_4_in_3),
+    }
+    cases = []
+    for label, (ff, fg, first, second) in mismatched.items():
+        cases += [(label, (ff, fg), {}, first), (f"{label}/swapped", (fg, ff), {}, second)]
+    cases += [
+        ("eps-negative", (real2, real2), {"eps": -1.0}, (FrameError, "eps must be nonnegative")),
+        ("eps-nan", (real2, real2), {"eps": float("nan")}, (FrameError, "eps must be finite, got nan")),
+        ("eps-inf", (real2, real2), {"eps": float("inf")}, (FrameError, "eps must be finite, got inf")),
+        ("budget-0", (real2, real2), {"budget": 0}, (FrameError, "budget must be at least 1")),
+        ("budget-guard", (real2, real2), {"budget": frames.EXTREMAL_BUDGET_GUARD + 1},
+         (ResourceGuardError, f"budget {frames.EXTREMAL_BUDGET_GUARD + 1} exceeds guard "
+                              f"{frames.EXTREMAL_BUDGET_GUARD}")),
+        ("max-card-0", (real2, real2), {"max_card": 0}, (FrameError, "max_card must be at least 1")),
+    ]
+    half = PSchauderFrame(counting_measure(2), 2.0, [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    other_half = PSchauderFrame(counting_measure(2), 2.0, [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    degenerate = (DegeneratePairError, "zero cross-coherence: support bound undefined")
+    zero_atoms = PSchauderFrame(counting_measure(2), 2.0, np.ones((2, 2)), np.zeros((2, 2)))
+    cases += [
+        ("degenerate", (half, other_half), {}, degenerate),
+        ("degenerate/swapped", (other_half, half), {}, degenerate),
+        ("zero-atoms", (canonical_lp(2, 2.0), zero_atoms), {},
+         (FrameError, "no nonzero candidate vector could be synthesized")),
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("case", _extremal_error_cases(), ids=lambda c: c[0])
+def test_extremal_search_errors_keep_their_type_and_message(case):
+    # the search checks its candidates as uncertainty_batch does: exponent,
+    # rows (dimension, then field), zero rows, coherence, then eps
+    label, frame_pair, kwargs, (kind, message) = case
+    with pytest.raises(kind) as info:
+        extremal_search(*frame_pair, **{"budget": 5, **kwargs})
+    assert type(info.value) is kind
+    assert str(info.value) == message
 
 
 # ------------------------------------------ one-row vs stacked branch

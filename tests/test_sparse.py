@@ -365,6 +365,21 @@ def test_non_finite_eps_residual_is_refused(eps):
             conjecture_probe(frame, trials=3, eps_residual=eps)
 
 
+@pytest.mark.parametrize("eps_residual", [None, 1e-6])
+def test_target_whose_norm_overflows_is_refused(eps_residual):
+    # an infinite norm made every tolerance infinite, so the empty support
+    # "solved" any target; the refusal itself must not warn
+    from framelab import dft_pair
+
+    complex_frame = dft_pair(2)[1]
+    for frame, target in ((mercedes_benz(), [1e300, 1e300]), (complex_frame, [1e300, 1e300j])):
+        with pytest.raises(FrameError, match="^the target's 2-norm overflows a double$"):
+            SparseProblem(frame, np.array(target), eps_residual)
+    # a large finite norm is still solved as before
+    solution = l0_brute_force(SparseProblem(mercedes_benz(), np.array([1e150, 1e150]), eps_residual))
+    assert solution.status == "solved" and solution.support_cardinality == 2
+
+
 def test_probe_counterexamples_carry_the_frozen_frame_encoding():
     frame = weighted_split(random_parseval(6, 13, seed=0), 0, 2)
     report = conjecture_probe(frame, trials=20, seed=3)
