@@ -8,6 +8,7 @@ from .frames import (
     REAL,
     SUPPORT_EPS,
     VALIDATION_GUARD,
+    VALIDATION_TOL,
     CoefficientFunction,
     DegeneratePairError,
     ExtremalReport,

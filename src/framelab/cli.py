@@ -22,6 +22,8 @@ from . import frame_io, sparse, zoo
 from .frames import (
     COMPLEX,
     REAL,
+    SUPPORT_EPS,
+    VALIDATION_TOL,
     FrameError,
     ResourceGuardError,
     cross_coherence,
@@ -307,7 +309,7 @@ def _build_parser() -> _Parser:
     val = sub.add_parser("validate", help="check the two frame axioms on random vectors")
     val.add_argument("--frame", required=True)
     val.add_argument("--trials", type=int, default=1000)
-    val.add_argument("--tol", type=float, default=1e-9)
+    val.add_argument("--tol", type=float, default=VALIDATION_TOL)
     val.add_argument("--seed", type=int, default=None)
     val.set_defaults(func=cmd_validate)
 
@@ -322,7 +324,7 @@ def _build_parser() -> _Parser:
     chk.add_argument("--frame-g", required=True)
     chk.add_argument("--x", help="inline vector: comma-separated reals or re:im pairs")
     chk.add_argument("--x-file", help="JSON array file")
-    chk.add_argument("--eps", type=float, default=1e-9)
+    chk.add_argument("--eps", type=float, default=SUPPORT_EPS)
     chk.add_argument("--format", choices=["json", "csv"], default="json")
     chk.set_defaults(func=cmd_check)
 
@@ -335,7 +337,7 @@ def _build_parser() -> _Parser:
     ext.add_argument("--frame-g", required=True)
     ext.add_argument("--budget", type=int, default=1000)
     ext.add_argument("--seed", type=int, default=None)
-    ext.add_argument("--eps", type=float, default=1e-9)
+    ext.add_argument("--eps", type=float, default=SUPPORT_EPS)
     ext.add_argument("--max-card", type=int, default=None)
     ext.set_defaults(func=cmd_extremal)
 

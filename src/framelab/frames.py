@@ -332,6 +332,13 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     return math.fsum(coeffs.space.weights[mags > eps * mags.max()])
 
 
+def _same_space(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
+    if frame_f.dimension != frame_g.dimension:
+        raise FrameError("frames must share the ambient dimension")
+    if frame_f.field != frame_g.field:
+        raise FrameError("frames must share the scalar field")
+
+
 def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[float, float]:
     """Largest pairings between the two families:
 
@@ -342,10 +349,7 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
     finite (a pairing overflows), since a bound of 0 would pass every vector,
     or when either reciprocal bound overflows, since it would fail every one.
     """
-    if frame_f.dimension != frame_g.dimension:
-        raise FrameError("frames must share the ambient dimension")
-    if frame_f.field != frame_g.field:
-        raise FrameError("frames must share the scalar field")
+    _same_space(frame_f, frame_g)
     with np.errstate(over="ignore", invalid="ignore"):
         coh_fg = float(np.abs(frame_f.functionals @ frame_g.vectors.T).max())
         coh_gf = float(np.abs(frame_g.functionals @ frame_f.vectors.T).max())
@@ -469,8 +473,18 @@ def uncertainty_check(
 # dimension) for ``validate_frame``, count x dimension for ``random_vectors``,
 # and atoms x dimension for each table a zoo constructor sizes from its integer
 # arguments.  At 10^7 a complex table takes 160 MB; larger requests are
-# refused before anything is allocated.
+# refused before anything is allocated.  ``validate_frame`` holds one such
+# (trials x n_atoms) table, beside its (trials x dimension) draw and rebuild
+# and one row block of at most ``_VALIDATION_BLOCK`` scalars.
 VALIDATION_GUARD = 10_000_000
+
+# Scalars per row block of ``validate_frame``'s elementwise work: 2^16, so a
+# block's temporaries take at most 1 MB (complex) each.  A row's sum does not
+# depend on the blocking, so neither do the residuals.
+_VALIDATION_BLOCK = 1 << 16
+
+# Default largest residual ``validate_frame`` accepts for either axiom.
+VALIDATION_TOL = 1e-9
 
 
 def _check_table_guard(rows: int, cols: int) -> None:
@@ -515,10 +529,18 @@ def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0)
     return _standard_normal(_seeded_rng(seed), (count, dimension), field)
 
 
+def _row_sums(term, rows: int, cols: int) -> np.ndarray:
+    """``np.sum(term(block), axis=1)`` over consecutive row slices of at most
+    ``_VALIDATION_BLOCK`` scalars of a (rows, cols) table, so ``term``'s
+    temporaries are never larger than one block."""
+    step = max(1, _VALIDATION_BLOCK // cols)
+    return np.concatenate([np.sum(term(slice(i, i + step)), axis=1) for i in range(0, rows, step)])
+
+
 def validate_frame(
     frame: PSchauderFrame,
     trials: int = 1000,
-    tol: float = 1e-9,
+    tol: float = VALIDATION_TOL,
     rng_seed: int = 0,
 ) -> ValidationReport:
     """Estimate the worst relative residuals of the two frame axioms.
@@ -531,6 +553,12 @@ def validate_frame(
     The report passes when both maxima are at most ``tol``, which must be
     finite and nonnegative.  Refuses ``trials * max(n_atoms, dimension)``
     beyond ``VALIDATION_GUARD``, and raises when a residual overflows.
+
+    The working set is the (trials, dimension) draw and its rebuild, one
+    (trials, n_atoms) analysis table, scaled by the weights in place, and
+    one row block of at most ``_VALIDATION_BLOCK`` scalars for the
+    elementwise powers and their row sums.  Both products are taken whole,
+    so the residuals have the same bits as the unblocked expressions.
     """
     _check_tolerance("tol", tol)
     if trials < 1:
@@ -539,15 +567,18 @@ def validate_frame(
     xs = random_vectors(frame.dimension, trials, frame.field, rng_seed)
     p = frame.p
     w = frame.space.weights
+    d, n = frame.dimension, frame.n_atoms
 
     # an overflow is refused below, so it must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = xs @ frame.functionals.T                   # (trials, n)
-        norms_p = np.sum(np.abs(xs) ** p, axis=1)           # ||x||_p^p
-        iso = np.abs(np.sum(w * np.abs(coeffs) ** p, axis=1) - norms_p) / norms_p
+        norms_p = _row_sums(lambda s: np.abs(xs[s]) ** p, trials, d)  # ||x||_p^p
+        iso = np.abs(_row_sums(lambda s: w * np.abs(coeffs[s]) ** p, trials, n) - norms_p) / norms_p
 
-        rebuilt = (w * coeffs) @ frame.vectors
-        rec_err = np.sum(np.abs(rebuilt - xs) ** p, axis=1) ** (1.0 / p)
+        coeffs *= w
+        rebuilt = coeffs @ frame.vectors
+        del coeffs
+        rec_err = _row_sums(lambda s: np.abs(rebuilt[s] - xs[s]) ** p, trials, d) ** (1.0 / p)
         rec = rec_err / norms_p ** (1.0 / p)
 
     max_iso = float(iso.max())
@@ -626,8 +657,11 @@ def extremal_search(
     product synthesizes it, the rows are checked as ``uncertainty_batch``
     checks them, and only the chunk's first minimal row gets a full report.
     The result is the same as checking the candidates one by one, bit for
-    bit.
+    bit.  The pair's exponent, dimension and field are checked once, before
+    any candidate is drawn.
     """
+    _same_exponent(frame_f, frame_g)
+    _same_space(frame_f, frame_g)
     if budget < 1:
         raise FrameError("budget must be at least 1")
     if budget > EXTREMAL_BUDGET_GUARD:

@@ -114,9 +114,10 @@ def gram_coherence(frame: PSchauderFrame, normalized: bool = False) -> float:
     v = frame.vectors
     # an overflowing diagonal entry is dropped below; it must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = np.abs(v @ v.conj().T)
+        products = v @ v.conj().T
+        gram = np.abs(products)
         if normalized:
-            norms = np.sqrt(np.real(np.diag(v @ v.conj().T)))
+            norms = np.sqrt(np.real(np.diag(products)))
             if not np.isfinite(norms).all():
                 raise FrameError("an atom norm is not a finite double: normalized coherence is undefined")
             keep = norms > 0

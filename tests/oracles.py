@@ -302,6 +302,56 @@ def legacy_extremal_search(frame_f, frame_g, budget, seed, eps, max_card=None):
     )
 
 
+def legacy_validate_frame(frame, trials, tol, rng_seed):
+    """``validate_frame`` as it was before its row blocks: three whole
+    (trials, n) tables, the weights applied out of place."""
+    from framelab import FrameError, ValidationReport
+
+    # valid inputs only: the tolerance, trials and guard checks are left out
+    rng = np.random.default_rng(rng_seed)
+    shape = (trials, frame.dimension)
+    if frame.field == "complex":
+        re = rng.standard_normal(shape)
+        xs = (re + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    else:
+        xs = rng.standard_normal(shape)
+    p = frame.p
+    w = frame.space.weights
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = xs @ frame.functionals.T
+        norms_p = np.sum(np.abs(xs) ** p, axis=1)
+        iso = np.abs(np.sum(w * np.abs(coeffs) ** p, axis=1) - norms_p) / norms_p
+        rebuilt = (w * coeffs) @ frame.vectors
+        rec_err = np.sum(np.abs(rebuilt - xs) ** p, axis=1) ** (1.0 / p)
+        rec = rec_err / norms_p ** (1.0 / p)
+    max_iso = float(iso.max())
+    max_rec = float(rec.max())
+    if not (math.isfinite(max_iso) and math.isfinite(max_rec)):
+        raise FrameError("frame axiom residuals are not finite doubles: the tables overflow")
+    return ValidationReport(trials, tol, rng_seed, max_iso, max_rec, bool(max_iso <= tol and max_rec <= tol))
+
+
+def legacy_gram_coherence(frame, normalized=False):
+    """``sparse.gram_coherence`` with its two Gram products: one for the
+    magnitudes and one more for the norms on its diagonal."""
+    from framelab import FrameError
+
+    # valid inputs only: the atom-count and exponent checks are left out
+    v = frame.vectors
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.abs(v @ v.conj().T)
+        if normalized:
+            norms = np.sqrt(np.real(np.diag(v @ v.conj().T)))
+            if not np.isfinite(norms).all():
+                raise FrameError("an atom norm is not a finite double: normalized coherence is undefined")
+            keep = norms > 0
+            if keep.sum() < 2:
+                return 0.0
+            gram = gram[np.ix_(keep, keep)] / np.outer(norms[keep], norms[keep])
+    np.fill_diagonal(gram, 0.0)
+    return float(gram.max())
+
+
 def legacy_cue_sweep_rows(zoo, vectors, seed):
     """CSV rows of scripts/cue_sweep.py as the per-vector loop printed them."""
     groups = {}

@@ -505,6 +505,28 @@ def test_extremal_budget_guard(dft_files, capsys):
     assert "guard" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "pair,message",
+    [
+        (("c4", "c3"), "frames must share the ambient dimension"),
+        (("c3", "c4"), "frames must share the ambient dimension"),
+        (("c4", "dft4"), "frames must share the scalar field"),
+        (("dft4", "c4"), "frames must share the scalar field"),
+    ],
+    ids=["dimension", "dimension/swapped", "field", "field/swapped"],
+)
+def test_extremal_mismatched_pair_is_one_line_domain_error(pair, message, dft_files, tmp_path, capsys):
+    from framelab import canonical_lp
+
+    paths = {"dft4": dft_files[1]}
+    for name, d in (("c4", 4), ("c3", 3)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        save_frame(canonical_lp(d, 2.0), paths[name])
+    frame_f, frame_g = (paths[name] for name in pair)
+    code, out, err = run_cli("extremal", "--frame-f", frame_f, "--frame-g", frame_g, capsys=capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # --------------------------------------------------------------- sparse
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,6 +29,7 @@ from framelab import (
     harmonic_discretization,
     mercedes_benz,
     picket_fence,
+    random_parseval,
     random_vectors,
     support_measure,
     synthesis,
@@ -428,6 +430,67 @@ def test_validation_guard_refuses_before_allocating():
         random_vectors(2, VALIDATION_GUARD // 2 + 1, "complex")
 
 
+# ``validate_frame`` sums its powers in row blocks and scales its one
+# analysis table in place; ``oracles.legacy_validate_frame`` holds three
+# whole tables.  The reports must agree bit for bit.
+
+
+def _validate_cases():
+    return default_zoo() + [
+        ("weighted_split", weighted_split(harmonic_discretization(4, 8), 2, 3)),
+        ("harmonic_32_512", harmonic_discretization(32, 512)),
+        # 1000 trials of 4000 complex atoms span dozens of row blocks
+        ("random_parseval_5_4000_complex", random_parseval(5, 4000, field="complex")),
+    ]
+
+
+@pytest.mark.parametrize("case", _validate_cases(), ids=lambda c: c[0])
+def test_validate_matches_frozen_report(case):
+    _, frame = case
+    for trials in (1, 7, 1000, 2049):
+        for seed in (0, 1, 5):
+            expected = oracles.legacy_validate_frame(frame, trials, frames.VALIDATION_TOL, seed)
+            assert _bits(validate_frame(frame, trials, rng_seed=seed)) == _bits(expected)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_validate_bits_do_not_depend_on_the_row_block(block, monkeypatch):
+    # blocks smaller than a row (one row per block) and ragged last blocks
+    monkeypatch.setattr(frames, "_VALIDATION_BLOCK", block)
+    for frame in (weighted_split(mercedes_benz(), 1, 3), dft_pair(8)[1], canonical_lp(5, 3.0)):
+        for trials in (1, 7, 100):
+            expected = oracles.legacy_validate_frame(frame, trials, frames.VALIDATION_TOL, 1)
+            assert _bits(validate_frame(frame, trials, rng_seed=1)) == _bits(expected)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_validate_overflow_refusal_matches_frozen_message(field):
+    table = [[1e200, 0.0], [0.0, 1.0]]
+    frame = PSchauderFrame(counting_measure(2), 2.0, table, table, field)
+    got = _outcome(lambda: validate_frame(frame, trials=3))
+    assert got == _outcome(lambda: oracles.legacy_validate_frame(frame, 3, frames.VALIDATION_TOL, 0))
+    assert got == ("FrameError", "frame axiom residuals are not finite doubles: the tables overflow")
+
+
+# Beyond its (trials, n) analysis table, validate_frame holds (trials, d)
+# tables, here 1/250 of it, and a few row blocks of temporaries.
+_VALIDATE_SLACK = 4 << 20
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_validate_holds_one_analysis_table(field):
+    frame = random_parseval(8, 2000, field=field)
+    trials = 1000
+    table = trials * frame.n_atoms * frame.vectors.dtype.itemsize
+    tracemalloc.start()
+    try:
+        validate_frame(frame, trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table + _VALIDATE_SLACK
+
+
 # ------------------------------------------------ batched kernel vs oracle
 #
 # ``uncertainty_batch`` and the chunked ``extremal_search`` must reproduce
@@ -615,17 +678,16 @@ def _extremal_error_cases():
     complex3 = PSchauderFrame(counting_measure(4), 3.0, np.eye(4), np.eye(4), "complex")
     real2_d3, real3_d3, complex2_d3 = canonical_lp(3, 2.0), canonical_lp(3, 3.0), dft_pair(3)[1]
     exponent = (FrameError, "frames must share the exponent p")
-    rows_3_in_4 = (FrameError, "input rows of shape (5, 3) do not form an (m, 4) array")
-    rows_4_in_3 = (FrameError, "input rows of shape (5, 4) do not form an (m, 3) array")
+    dimension = (FrameError, "frames must share the ambient dimension")
+    field = (FrameError, "frames must share the scalar field")
     mismatched = {
         # (frame_f, frame_g) for the first order; the second swaps them
         "p": (real2, real3, exponent, exponent),
-        "field": (real2, complex2, (FrameError, "real frames act on real vectors only"),
-                  (FrameError, "frames must share the scalar field")),
-        "dimension": (real2, real2_d3, rows_3_in_4, rows_4_in_3),
+        "field": (real2, complex2, field, field),
+        "dimension": (real2, real2_d3, dimension, dimension),
         "p+field": (real2, complex3, exponent, exponent),
         "p+dimension": (real2, real3_d3, exponent, exponent),
-        "field+dimension": (real2, complex2_d3, rows_3_in_4, rows_4_in_3),
+        "field+dimension": (real2, complex2_d3, dimension, dimension),
     }
     cases = []
     for label, (ff, fg, first, second) in mismatched.items():
@@ -649,14 +711,18 @@ def _extremal_error_cases():
         ("degenerate/swapped", (other_half, half), {}, degenerate),
         ("zero-atoms", (canonical_lp(2, 2.0), zero_atoms), {},
          (FrameError, "no nonzero candidate vector could be synthesized")),
+        # the pair is checked before any candidate is drawn
+        ("dimension/zero-atoms", (real2_d3, zero_atoms), {}, dimension),
+        ("dimension/budget-0", (real2, real2_d3), {"budget": 0}, dimension),
     ]
     return cases
 
 
 @pytest.mark.parametrize("case", _extremal_error_cases(), ids=lambda c: c[0])
 def test_extremal_search_errors_keep_their_type_and_message(case):
-    # the search checks its candidates as uncertainty_batch does: exponent,
-    # rows (dimension, then field), zero rows, coherence, then eps
+    # the search checks the pair first (exponent, dimension, then field),
+    # then its budget and max_card, then each chunk as uncertainty_batch
+    # does: coherence, then eps
     label, frame_pair, kwargs, (kind, message) = case
     with pytest.raises(kind) as info:
         extremal_search(*frame_pair, **{"budget": 5, **kwargs})

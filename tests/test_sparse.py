@@ -19,6 +19,7 @@ from framelab import (
     canonical_lp,
     conjecture_probe,
     counting_measure,
+    default_zoo,
     donoho_elad_check,
     gram_coherence,
     harmonic_discretization,
@@ -57,6 +58,33 @@ def test_gram_coherence_normalized_refuses_an_overflowing_atom_norm():
     frame = PSchauderFrame(counting_measure(2), 2.0, np.eye(2), [[1.7e308, 1.7e308], [1.0, 0.0]], "real")
     with pytest.raises(FrameError, match="^an atom norm is not a finite double"):
         gram_coherence(frame, normalized=True)
+
+
+def _gram_cases():
+    cases = [(name, frame) for name, frame in default_zoo() if frame.p == 2.0]
+    eye = np.eye(2)
+    cases += [
+        ("zero-atom", PSchauderFrame(counting_measure(3), 2.0, np.ones((3, 2)), [[1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])),
+        ("one-nonzero-atom", PSchauderFrame(counting_measure(2), 2.0, eye, [[0.0, 0.0], [0.0, 3.0]])),
+        ("overflowing-norm", PSchauderFrame(counting_measure(2), 2.0, eye, [[1.7e308, 1.7e308], [1.0, 0.0]])),
+    ]
+    return cases
+
+
+def _gram_outcome(call):
+    try:
+        return float.hex(call())
+    except FrameError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+@pytest.mark.parametrize("case", _gram_cases(), ids=lambda c: c[0])
+def test_gram_coherence_matches_frozen_copy(case, normalized):
+    # one Gram product serves the magnitudes and the normalizing diagonal
+    _, frame = case
+    got = _gram_outcome(lambda: gram_coherence(frame, normalized=normalized))
+    assert got == _gram_outcome(lambda: oracles.legacy_gram_coherence(frame, normalized))
 
 
 def test_gram_coherence_normalized_variant():
