@@ -39,6 +39,9 @@ EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
 
 SCHEMA_VERSION = 1
+# ``sparse`` reports an infinite residual as "unbounded" (``json_number``),
+# where schema 1 wrote "inf"
+SPARSE_SCHEMA_VERSION = 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,8 +92,7 @@ def _load_vector(inline: str | None, path: str | None, field: str) -> np.ndarray
         raise FrameError("provide the vector inline or as a file, not both")
     if inline is not None:
         return _parse_inline_vector(inline)
-    obj = json.loads(Path(path).read_text())
-    return frame_io.vector_from_obj(obj, field)
+    return frame_io.vector_from_obj(frame_io.read_json(path, "vector"), field)
 
 
 def _emit(obj: dict) -> None:
@@ -232,8 +234,8 @@ def cmd_extremal(args) -> int:
 
 
 def _solution_obj(frame, solution, mode: str) -> dict:
-    out = {"schema_version": SCHEMA_VERSION, "mode": mode, **vars(solution)}
-    out["residual"] = solution.residual if np.isfinite(solution.residual) else "inf"
+    out = {"schema_version": SPARSE_SCHEMA_VERSION, "mode": mode, **vars(solution)}
+    out["residual"] = frame_io.json_number(solution.residual)
     if solution.coefficients is not None:
         out["coefficients"] = frame_io.vector_to_obj(solution.coefficients.values, frame.field)
     return out
@@ -372,7 +374,7 @@ def main(argv=None) -> int:
     except FrameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -167,12 +167,18 @@ def save_frame(frame: PSchauderFrame, path) -> None:
     Path(path).write_text(frame_json(frame) + "\n")
 
 
-def load_frame(path) -> PSchauderFrame:
+def read_json(path, what: str):
+    """The JSON value in the file at ``path``.  A file that is not UTF-8
+    text, not JSON, or nested deeper than the decoder can recurse raises
+    ``FrameError``; an ``OSError`` is left to the caller."""
     try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FrameError(f"not a JSON frame file: {exc}") from None
-    return frame_from_obj(obj)
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise FrameError(f"not a JSON {what} file: {exc}") from None
+
+
+def load_frame(path) -> PSchauderFrame:
+    return frame_from_obj(read_json(path, "frame"))
 
 
 def json_number(value: float):

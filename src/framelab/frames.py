@@ -14,10 +14,10 @@ same bilinear pairing then serves real and complex families alike.
 
 ``uncertainty_check`` compares the support measures of the two analysis
 images of one nonzero vector against the reciprocal of the largest pairing
-between the two families.  ``uncertainty_batch`` does the same for the rows
-of an (m, d) array in one pass, with the same bits as checking each row on
-its own; ``uncertainty_check`` is its one-row case, which costs one
-matrix-vector product, one max and one ``fsum`` per frame.  Both take the
+between the two families; it costs one matrix-vector product, one max and
+one ``fsum`` per frame.  ``uncertainty_batch`` does the same for the rows
+of an (m, d) array in one pass of stacked products, with the same bits and
+the same errors as checking each row on its own.  Both take the
 pair's cross-coherence from a per-pair memo: it is computed by
 ``cross_coherence`` the first time a pair of frame objects is checked and
 kept, under weak references, for as long as both frames live (frames are
@@ -82,7 +82,7 @@ class MeasureSpace:
             raise FrameError("every atom weight must be strictly positive")
         # every support weight is at most the total, so no later fsum overflows
         try:
-            math.fsum(w)
+            math.fsum(w.tolist())
         except OverflowError:
             raise FrameError("the total weight overflows a double") from None
         w.setflags(write=False)
@@ -94,7 +94,7 @@ class MeasureSpace:
 
     @property
     def total_measure(self) -> float:
-        return math.fsum(self.weights)
+        return math.fsum(self.weights.tolist())
 
     @property
     def is_counting(self) -> bool:
@@ -275,28 +275,37 @@ def synthesis(frame: PSchauderFrame, coeffs: CoefficientFunction) -> np.ndarray:
     return (frame.space.weights * coeffs.values) @ frame.vectors
 
 
-def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> list[float]:
-    """Support measure of the analysis image of every validated (m, d) row.
+def _support(frame: PSchauderFrame, xv: np.ndarray, eps: float) -> float:
+    """Support measure of the analysis image of one validated vector x.
 
-    Row i keeps the atoms with ``|c_ij| > eps * max_j |c_ij|``; a row whose
-    peak is 0 keeps none and measures 0.0.  A finite peak means finite
-    coefficients; a non-finite one can also come from finite complex parts
-    whose ``abs`` overflows, so only then does the exact check run.
-    With several weight classes ``math.fsum`` runs once per distinct mask,
-    so split weights stay bit-exact and repeated masks cost nothing extra;
-    with one class each of several rows measures its atom count times the
-    weight.
+    The atoms with ``|c_j| > eps * max_j |c_j|`` are kept; a peak of 0 keeps
+    none and measures 0.0.  x = 0 gives the peak 0 exactly, so only then is
+    x itself tested and refused.  A finite peak means finite coefficients;
+    a non-finite one can also come from finite complex parts whose ``abs``
+    overflows, so only then does the exact check run.
+    """
+    coeffs = frame.functionals @ xv
+    mags = np.abs(coeffs)
+    peak = mags.max()
+    if peak == 0.0:
+        if not xv.any():
+            raise FrameError("theorem excludes x = 0")
+        return 0.0
+    if not math.isfinite(peak):
+        _finite_or_raise(coeffs, "coefficients")
+    # fsum of Python floats, not numpy scalars: the same sum, at less cost
+    return math.fsum(frame.space.weights[mags > eps * peak].tolist())
+
+
+def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> list[float]:
+    """``_support`` of every validated nonzero (m, d) row, in one pass.
+
+    With several weight classes ``math.fsum`` runs once per distinct mask
+    (a dict keyed on the mask's bytes), so split weights stay bit-exact and
+    repeated masks cost nothing extra; with one class each row measures its
+    atom count times the weight.
     """
     weights = frame.space.weights
-    if len(rows) == 1:
-        # np.unique over rows has a fixed cost several times that of a whole
-        # one-row check; one row needs one product, one max and one fsum.
-        coeffs = frame.functionals @ rows[0]
-        mags = np.abs(coeffs)
-        peak = mags.max()
-        if not math.isfinite(peak):
-            _finite_or_raise(coeffs, "coefficients")
-        return [math.fsum(weights[mags > eps * peak])]
     # One stacked matrix-vector product per row: the same bits as
     # ``frame.functionals @ x`` for each row (a gemm would not be).
     coeffs = np.matmul(frame.functionals, rows[..., None])[..., 0]
@@ -310,11 +319,12 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
         # fsum of c copies of w is the real c*w rounded once, and so is one
         # IEEE product of the exact integer c by w: the same bits.
         return (masks.sum(axis=1) * w).tolist()
-    _, first, inverse = np.unique(
-        np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    sums = [math.fsum(weights[masks[i]]) for i in first]
-    return [sums[k] for k in inverse.ravel()]
+    sums: dict[bytes, float] = {}
+    for mask in masks:
+        key = mask.tobytes()
+        if key not in sums:
+            sums[key] = math.fsum(weights[mask].tolist())
+    return [sums[mask.tobytes()] for mask in masks]
 
 
 def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> float:
@@ -329,7 +339,7 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     """
     _check_tolerance("eps", eps)
     mags = np.abs(coeffs.values)
-    return math.fsum(coeffs.space.weights[mags > eps * mags.max()])
+    return math.fsum(coeffs.space.weights[mags > eps * mags.max()].tolist())
 
 
 def _same_space(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
@@ -389,42 +399,31 @@ def _same_exponent(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
         raise FrameError("frames must share the exponent p")
 
 
-def _row_supports(
-    frame_f: PSchauderFrame, frame_g: PSchauderFrame, rows: np.ndarray, eps: float
+def _batch_supports(
+    frame_f: PSchauderFrame, frame_g: PSchauderFrame, X, eps: float
 ) -> tuple[tuple[float, float], list[float], list[float]]:
-    """The pair's cross-coherences and both support measures of every
-    validated nonzero (m, d) input row."""
+    """The pair's cross-coherences and both support measures of every row
+    of X, checked as ``uncertainty_batch`` checks them."""
+    _same_exponent(frame_f, frame_g)
+    rows = _as_input_rows(frame_f, X)
+    if not rows.any(axis=1).all():
+        raise FrameError("theorem excludes x = 0")
     coh = _pair_coherence(frame_f, frame_g)
     _check_tolerance("eps", eps)
     return coh, _support_measures(frame_f, rows, eps), _support_measures(frame_g, rows, eps)
 
 
-def _batch_supports(
-    frame_f: PSchauderFrame, frame_g: PSchauderFrame, X, eps: float
-) -> tuple[tuple[float, float], list[float], list[float]]:
-    """``_row_supports`` of the rows of X, checked as ``uncertainty_batch``
-    checks them."""
-    _same_exponent(frame_f, frame_g)
-    rows = _as_input_rows(frame_f, X)
-    if not rows.any(axis=1).all():
-        raise FrameError("theorem excludes x = 0")
-    return _row_supports(frame_f, frame_g, rows, eps)
-
-
-def _reports(
-    frame_f: PSchauderFrame, coh: tuple[float, float], supps_f: list[float], supps_g: list[float]
-) -> list[UncertaintyReport]:
-    """One report per pair of support measures; see ``uncertainty_check``."""
+def _report(
+    frame_f: PSchauderFrame, coh: tuple[float, float], supp_f: float, supp_g: float
+) -> UncertaintyReport:
+    """The report of one pair of support measures; see ``uncertainty_check``."""
     coh_fg, coh_gf = coh
     inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
     bound1, bound2 = 1.0 / coh_fg, 1.0 / coh_gf
-    reports = []
-    for supp_f, supp_g in zip(supps_f, supps_g):
-        lhs1 = supp_f ** inv_p * supp_g ** inv_q
-        lhs2 = supp_g ** inv_p * supp_f ** inv_q
-        reports.append(UncertaintyReport(supp_f, supp_g, lhs1, lhs2, coh_fg, coh_gf, bound1, bound2,
-                                         lhs1 >= bound1 - CUE_TOLERANCE, lhs2 >= bound2 - CUE_TOLERANCE))
-    return reports
+    lhs1 = supp_f ** inv_p * supp_g ** inv_q
+    lhs2 = supp_g ** inv_p * supp_f ** inv_q
+    return UncertaintyReport(supp_f, supp_g, lhs1, lhs2, coh_fg, coh_gf, bound1, bound2,
+                             lhs1 >= bound1 - CUE_TOLERANCE, lhs2 >= bound2 - CUE_TOLERANCE)
 
 
 def uncertainty_batch(
@@ -441,7 +440,8 @@ def uncertainty_batch(
     ``uncertainty_check(frame_f, frame_g, X[i], eps)``; any zero row is
     rejected like x = 0 there.
     """
-    return _reports(frame_f, *_batch_supports(frame_f, frame_g, X, eps))
+    coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, X, eps)
+    return [_report(frame_f, coh, supp_f, supp_g) for supp_f, supp_g in zip(supps_f, supps_g)]
 
 
 def uncertainty_check(
@@ -459,14 +459,23 @@ def uncertainty_check(
         S_g**(1/p) * S_f**(1/q) >= 1 / coh_gf
 
     Each is accepted up to the additive ``CUE_TOLERANCE``.  x = 0 is outside
-    the statement's domain and rejected.  This is the one-row case of
-    ``uncertainty_batch``.
+    the statement's domain and rejected.  The report and every error equal
+    those of the one-row ``uncertainty_batch``; the checks run in the order
+    exponent, x (length, field, finiteness), x = 0, the pair's coherence,
+    eps, then each frame's coefficients.  The work is two matrix-vector
+    products, and per frame one ``abs``, one max, one mask and one ``fsum``:
+    x = 0 is tested only when a peak is 0 or a pair or eps check fails.
     """
     _same_exponent(frame_f, frame_g)
     xv = _as_input_vector(frame_f, x)
-    if not xv.any():
-        raise FrameError("theorem excludes x = 0")
-    return _reports(frame_f, *_row_supports(frame_f, frame_g, xv[None, :], eps))[0]
+    try:
+        coh = _pair_coherence(frame_f, frame_g)
+        _check_tolerance("eps", eps)
+    except FrameError:
+        if not xv.any():
+            raise FrameError("theorem excludes x = 0") from None
+        raise
+    return _report(frame_f, coh, _support(frame_f, xv, eps), _support(frame_g, xv, eps))
 
 
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
@@ -569,8 +578,9 @@ def validate_frame(
     w = frame.space.weights
     d, n = frame.dimension, frame.n_atoms
 
-    # an overflow is refused below, so it must not warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an overflow, or a p-norm that underflows to 0, is refused below, so it
+    # must not warn
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         coeffs = xs @ frame.functionals.T                   # (trials, n)
         norms_p = _row_sums(lambda s: np.abs(xs[s]) ** p, trials, d)  # ||x||_p^p
         iso = np.abs(_row_sums(lambda s: w * np.abs(coeffs[s]) ** p, trials, n) - norms_p) / norms_p
@@ -697,11 +707,11 @@ def extremal_search(
             continue
         coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, xs, eps)
         evaluated += len(xs)
-        # lhs1 as ``_reports`` computes it, so the winner's report repeats it
+        # lhs1 as ``_report`` computes it, so the winner's report repeats it
         lhs1s = [supp_f ** inv_p * supp_g ** inv_q for supp_f, supp_g in zip(supps_f, supps_g)]
         i = lhs1s.index(min(lhs1s))
         if best is None or lhs1s[i] < best.lhs1:
-            best = _reports(frame_f, coh, [supps_f[i]], [supps_g[i]])[0]
+            best = _report(frame_f, coh, supps_f[i], supps_g[i])
             best_x = xs[i].copy()
 
     if best is None or best_x is None:

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from framelab import PSchauderFrame, counting_measure, default_zoo
+
+# ``--hypothesis-profile=ci`` (the tier-1 step in CI): a failure that only CI
+# hits prints its ``@reproduce_failure`` blob, so it can be replayed locally.
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,12 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -581,7 +582,13 @@ def test_sparse_infeasible_exit_code(tmp_path, capsys):
         "sparse", "--frame", str(path), "--target", "1,1", "--mode", "l0", "--max-card", "0", capsys=capsys
     )
     assert code == 3
-    assert json.loads(out)["status"] == "infeasible"
+    # schema 2: the infinite residual is spelled as every other report spells
+    # a non-finite number
+    assert out == (
+        '{\n  "schema_version": 2,\n  "mode": "l0",\n  "status": "infeasible",\n  "support": [],\n'
+        '  "support_cardinality": 0,\n  "support_weight": 0.0,\n  "residual": "unbounded",\n'
+        '  "unique": false,\n  "coefficients": null\n}\n'
+    )
 
 
 @pytest.mark.parametrize("case", ["complex_l0", "complex_measure", "infeasible"])
@@ -603,10 +610,15 @@ def test_sparse_stdout_bytes(case, tmp_path, capsys):
         solution = l0_brute_force(problem, max_card=0 if extra else None)
     else:
         solution = measure_min_brute_force(problem)
-    assert out == oracles.legacy_sparse_stdout(frame, solution, mode)
+    # schema 2 differs from the frozen schema 1 bytes in the version and in
+    # the spelling of an infinite residual alone
+    expected = oracles.legacy_sparse_stdout(frame, solution, mode).replace(
+        '"schema_version": 1,', '"schema_version": 2,'
+    )
+    assert out == expected.replace('"residual": "inf",', '"residual": "unbounded",')
     if case == "infeasible":
         assert code == 3
-        assert '"residual": "inf"' in out and '"coefficients": null' in out
+        assert '"residual": "unbounded"' in out and '"coefficients": null' in out
     else:
         assert code == 0
         assert all(len(c) == 2 for c in json.loads(out)["coefficients"])  # [re, im] pairs
@@ -885,6 +897,111 @@ def test_gen_fuzz_never_raises(fuzz_base, kind, ints, perm, signs, with_base, fi
         except SystemExit as exc:  # argparse
             code = exc.code
     assert code in (0, 1, 2, 3, 4)
+
+
+def _fuzz_bases():
+    from framelab import PSchauderFrame, counting_measure, dft_pair, frame_to_obj
+
+    # real d = 2, complex d = 2, and a real d = 1 frame whose functional
+    # exceeds 1 where its vector does not
+    doubled = PSchauderFrame(counting_measure(1), 2.0, [[2.0]], [[0.5]])
+    return [frame_to_obj(frame) for frame in (mercedes_benz(), dft_pair(2)[1], doubled)]
+
+
+_FUZZ_BASES = _fuzz_bases()
+# JSON values of every kind; floats include NaN and the infinities, which
+# json writes as the NaN/Infinity tokens that json.loads reads back
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["1.0", " 2 ", "nan", "-inf", "1e999", "0x1", "real", "complex"]),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+_POSITIONS = ("field", "p", "dimension", "atoms", "atom", "weight", "functional", "vector", "cell", "part")
+
+
+def _place(obj: dict, position: str, k: int, j: int, value) -> None:
+    """Put value at one position of a frame object; a position the object
+    no longer has (an earlier value replaced it) is left alone."""
+    if position in ("field", "p", "dimension", "atoms"):
+        obj[position] = value
+        return
+    atoms = obj.get("atoms")
+    if not isinstance(atoms, list) or not atoms:
+        return
+    k %= len(atoms)
+    if position == "atom":
+        atoms[k] = value
+        return
+    atom = atoms[k]
+    if not isinstance(atom, dict):
+        return
+    if position in ("weight", "functional", "vector"):
+        atom[position] = value
+        return
+    row = atom.get("functional" if j % 2 else "vector")
+    if not isinstance(row, list) or not row:
+        return
+    j %= len(row)
+    if position == "cell":
+        row[j] = value
+    elif isinstance(row[j], list) and row[j]:  # one part of a complex [re, im] cell
+        row[j][0] = value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    base=st.sampled_from(range(len(_FUZZ_BASES))),
+    edits=st.lists(
+        st.tuples(st.sampled_from(_POSITIONS), st.integers(0, 7), st.integers(0, 7), _JSON_VALUES),
+        min_size=1,
+        max_size=3,
+    ),
+)
+# p = 2000 on the doubled frame: |x|^p underflows to 0 where w |2x|^p does
+# not, so the isometry residual divides a finite number by 0
+@example(base=2, edits=[("p", 0, 0, 2000)])
+@example(base=1, edits=[("part", 0, 1, "1e999")])
+def test_validate_fuzz_of_frame_json_is_exit_0_or_one_line(fuzz_base, base, edits):
+    obj = json.loads(json.dumps(_FUZZ_BASES[base]))
+    for position, k, j, value in edits:
+        _place(obj, position, k, j, value)
+    path = fuzz_base.with_name("fuzz_frame.json")
+    path.write_text(json.dumps(obj))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["validate", "--frame", str(path)])
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "data,reason",
+    [
+        # the decoder's wording after this prefix varies across Python versions
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b"\xff\xfe[]", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[1,", "Expecting value: line 1 column 4 (char 3)"),
+    ],
+    ids=["deep-nesting", "not-utf8", "not-json"],
+)
+@pytest.mark.parametrize("what", ["frame", "vector"])
+def test_unreadable_json_file_is_one_line_domain_error(what, data, reason, tmp_path, capsys):
+    path, mb = tmp_path / "bad.json", tmp_path / "mb.json"
+    path.write_bytes(data)
+    save_frame(mercedes_benz(), mb)
+    if what == "frame":
+        argv = ["validate", "--frame", str(path)]
+    else:
+        argv = ["check", "--frame-f", str(mb), "--frame-g", str(mb), "--x-file", str(path)]
+    code, out, err = run_cli(*argv, capsys=capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: not a JSON {what} file: {reason}") and err.count("\n") == 1
 
 
 CHECK_MB = ["check", "--frame-f", "{mb}", "--frame-g", "{mb}", "--x", "1,0"]

@@ -730,11 +730,74 @@ def test_extremal_search_errors_keep_their_type_and_message(case):
     assert str(info.value) == message
 
 
+def _check_error_cases():
+    real2, real3 = canonical_lp(2, 2.0), canonical_lp(2, 3.0)
+    half = PSchauderFrame(counting_measure(2), 2.0, [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
+    other_half = PSchauderFrame(counting_measure(2), 2.0, [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
+    overflow = PSchauderFrame(counting_measure(2), 2.0, [[1e308, 1e308], [0, 1]], [[1, 0], [0, 1]])
+    huge = PSchauderFrame(counting_measure(2), 2.0, [[1.7e308, 1.7e308], [0, 1]], [[1.7e308, 1.7e308], [0, 1]])
+    nan_x, zero_x = np.array([np.nan, 1.0]), np.zeros(2)
+    degenerate = (DegeneratePairError, "zero cross-coherence: support bound undefined")
+    zero = (FrameError, "theorem excludes x = 0")
+    nan = (FrameError, "vector entries must be finite (no NaN/Inf)")
+    return [
+        # (label, (frame_f, frame_g), x, kwargs, (type, message))
+        ("p+nan-x", (real2, real3), nan_x, {}, (FrameError, "frames must share the exponent p")),
+        ("p+length", (real2, real3), np.ones(3), {}, (FrameError, "frames must share the exponent p")),
+        ("length+degenerate", (half, other_half), np.ones(3),
+         {}, (FrameError, "vector length 3 does not match frame dimension 2")),
+        ("matrix+degenerate", (half, other_half), np.ones((1, 2)),
+         {}, (FrameError, "vector length (1, 2) does not match frame dimension 2")),
+        ("nan-x+degenerate", (half, other_half), nan_x, {}, nan),
+        ("nan-x+eps-negative", (real2, real2), nan_x, {"eps": -1.0}, nan),
+        ("zero-x+degenerate", (half, other_half), zero_x, {}, zero),
+        ("zero-x+eps-negative", (real2, real2), zero_x, {"eps": -1.0}, zero),
+        ("zero-x+eps-nan", (real2, real2), zero_x, {"eps": float("nan")}, zero),
+        ("zero-x+dimension", (real2, canonical_lp(3, 2.0)), zero_x, {}, zero),
+        ("zero-x+field", (dft_pair(2)[0], real2), zero_x, {}, zero),
+        ("zero-x+coherence-overflow", (huge, huge), zero_x, {}, zero),
+        ("complex-x+nan", (real2, real2), np.array([np.nan, 1j]),
+         {}, (FrameError, "real frames act on real vectors only")),
+        ("overflow+eps-nan", (overflow, real2), np.array([10.0, 10.0]),
+         {"eps": float("nan")}, (FrameError, "eps must be finite, got nan")),
+        ("overflow+eps-inf", (real2, overflow), np.array([10.0, 10.0]),
+         {"eps": float("inf")}, (FrameError, "eps must be finite, got inf")),
+        ("degenerate+eps-negative", (half, other_half), np.ones(2), {"eps": -1.0}, degenerate),
+        ("dimension", (real2, canonical_lp(3, 2.0)), np.ones(2),
+         {}, (FrameError, "frames must share the ambient dimension")),
+        ("coherence-overflow", (huge, huge), np.ones(2),
+         {}, (FrameError, "cross-coherence is not a finite double: a pairing magnitude overflows")),
+        # half annihilates x, so its peak is 0 although x is not: a report
+        # with that support measure 0.0, no error
+        ("annihilated", (half, real2), np.array([0.0, 1.0]), {}, "supp_f"),
+        ("annihilated/swapped", (real2, half), np.array([0.0, 1.0]), {}, "supp_g"),
+    ]
+
+
+@pytest.mark.parametrize("case", _check_error_cases(), ids=lambda c: c[0])
+def test_uncertainty_check_errors_keep_their_type_and_message(case):
+    # the check tests the exponent, then x (length, field, finiteness), then
+    # x = 0 before anything about the pair or eps, then the pair's
+    # coherence, then eps, then each frame's coefficients
+    label, frame_pair, x, kwargs, expected = case
+    if isinstance(expected, str):
+        rep = uncertainty_check(*frame_pair, x, **kwargs)
+        assert _bits(getattr(rep, expected)) == _bits(0.0)
+        assert _bits(rep) == _bits(oracles.legacy_uncertainty_check(*frame_pair, x, frames.SUPPORT_EPS))
+        return
+    kind, message = expected
+    with pytest.raises(kind) as info:
+        uncertainty_check(*frame_pair, x, **kwargs)
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
 # ------------------------------------------ one-row vs stacked branch
 #
-# One row takes ``_support_measures``' one-row branch (one product, one max,
-# one fsum); every other row count takes the stacked branch, which groups
-# masks with np.unique.  Both must give the same bits or the same error.
+# ``uncertainty_check`` takes the one-row path ``frames._support`` (one
+# product, one max, one fsum per frame); ``uncertainty_batch`` takes the
+# stacked branch for every row count, which sums each distinct mask once.
+# Both must give the same bits or the same error.
 
 
 def _outcome(call):
