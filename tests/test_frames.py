@@ -753,6 +753,9 @@ def _check_error_cases():
         ("zero-x+degenerate", (half, other_half), zero_x, {}, zero),
         ("zero-x+eps-negative", (real2, real2), zero_x, {"eps": -1.0}, zero),
         ("zero-x+eps-nan", (real2, real2), zero_x, {"eps": float("nan")}, zero),
+        # an eps that cannot be compared raises TypeError, after x = 0
+        ("zero-x+eps-str", (real2, real2), zero_x, {"eps": "0.1"}, zero),
+        ("zero-x+eps-complex", (real2, real2), zero_x, {"eps": 1j}, zero),
         ("zero-x+dimension", (real2, canonical_lp(3, 2.0)), zero_x, {}, zero),
         ("zero-x+field", (dft_pair(2)[0], real2), zero_x, {}, zero),
         ("zero-x+coherence-overflow", (huge, huge), zero_x, {}, zero),
@@ -794,10 +797,10 @@ def test_uncertainty_check_errors_keep_their_type_and_message(case):
 
 # ------------------------------------------ one-row vs stacked branch
 #
-# ``uncertainty_check`` takes the one-row path ``frames._support`` (one
-# product, one max, one fsum per frame); ``uncertainty_batch`` takes the
-# stacked branch for every row count, which sums each distinct mask once.
-# Both must give the same bits or the same error.
+# ``uncertainty_check`` and a one-row ``uncertainty_batch`` take the one-row
+# path ``frames._support`` (one product, one max, one fsum per frame); a
+# batch of several rows takes the stacked branch, which sums each distinct
+# mask once.  Both must give the same bits or the same error.
 
 
 def _outcome(call):
