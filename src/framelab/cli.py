@@ -46,10 +46,10 @@ SPARSE_SCHEMA_VERSION = 2
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors by default; this project
-    # reserves 2 for domain violations.
+    # reserves 2 for domain violations.  Every failure is one stderr line,
+    # so the usage synopsis is left to --help.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog}: error: {message} (see {self.prog} --help)", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -367,7 +367,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every overflow that matters is refused by a check that names it;
+        # numpy's own warning would only add lines to stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -21,7 +21,8 @@ the same errors as checking each row on its own.  Both take the
 pair's cross-coherence from a per-pair memo: it is computed by
 ``cross_coherence`` the first time a pair of frame objects is checked and
 kept, under weak references, for as long as both frames live (frames are
-immutable).
+immutable).  Reports are frozen values of five floats, and equal ones are
+shared: a bounded memo keeps the last 1,024 distinct reports.
 ``validate_frame`` estimates the two axiom residuals on seeded random
 vectors, and ``extremal_search`` hunts for near-equality vectors of the
 support product, checking its candidates in chunks with the batch kernel.
@@ -29,6 +30,7 @@ support product, checking its candidates in chunks with the batch kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import weakref
@@ -231,7 +233,7 @@ class ValidationReport:
 
 
 def _as_field(frame: PSchauderFrame, arr: np.ndarray) -> np.ndarray:
-    if frame.field == REAL and np.iscomplexobj(arr):
+    if frame.field == REAL and arr.dtype.kind == "c":
         raise FrameError("real frames act on real vectors only")
     dtype = np.complex128 if frame.field == COMPLEX else np.float64
     arr = arr.astype(dtype, copy=False)
@@ -415,17 +417,35 @@ def _batch_supports(
     return coh, _support_measures(frame_f, rows, eps), _support_measures(frame_g, rows, eps)
 
 
-def _report(
-    frame_f: PSchauderFrame, coh: tuple[float, float], supp_f: float, supp_g: float
+# Entries of the report memo.  Cue-sweep's traffic levels off near 420
+# distinct reports of a few hundred bytes each; 1,024 keep it under 0.5 MB.
+_REPORT_MEMO = 1024
+
+
+@functools.lru_cache(maxsize=_REPORT_MEMO)
+def _memo_report(
+    p: float, coh_fg: float, coh_gf: float, supp_f: float, supp_g: float
 ) -> UncertaintyReport:
-    """The report of one pair of support measures; see ``uncertainty_check``."""
-    coh_fg, coh_gf = coh
-    inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
+    """The report of one pair of support measures; see ``uncertainty_check``.
+
+    A report is a frozen value fixed by these five Python floats, so equal
+    inputs share one object.  Equal keys are equal bits: no key is NaN or
+    -0.0, since p > 1, coherences are positive and supports are sums of
+    positive weights.
+    """
+    inv_p, inv_q = 1.0 / p, 1.0 / _conjugate_exponent(p)
     bound1, bound2 = 1.0 / coh_fg, 1.0 / coh_gf
     lhs1 = supp_f ** inv_p * supp_g ** inv_q
     lhs2 = supp_g ** inv_p * supp_f ** inv_q
     return UncertaintyReport(supp_f, supp_g, lhs1, lhs2, coh_fg, coh_gf, bound1, bound2,
                              lhs1 >= bound1 - CUE_TOLERANCE, lhs2 >= bound2 - CUE_TOLERANCE)
+
+
+def _report(
+    frame_f: PSchauderFrame, coh: tuple[float, float], supp_f: float, supp_g: float
+) -> UncertaintyReport:
+    """The (shared) report of one pair of support measures."""
+    return _memo_report(frame_f.p, coh[0], coh[1], supp_f, supp_g)
 
 
 def uncertainty_batch(

@@ -167,7 +167,7 @@ def _padded_solution(
         status=SOLVED,
         support=nonzero,
         support_cardinality=len(nonzero),
-        support_weight=math.fsum(frame.space.weights[list(nonzero)]) if nonzero else 0.0,
+        support_weight=math.fsum(frame.space.weights[list(nonzero)].tolist()) if nonzero else 0.0,
         residual=residual,
         unique=unique,
         coefficients=CoefficientFunction(frame.space, values),
@@ -367,12 +367,10 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     """Variant of the raw coherence that skips index pairs whose vectors are
     bit-identical (as produced by atom splitting)."""
     v = frame.vectors
+    distinct = np.triu(~(v[:, None] == v[None]).all(-1), 1)
     best = 0.0
-    for j in range(frame.n_atoms):
-        for k in range(j + 1, frame.n_atoms):
-            if np.array_equal(v[j], v[k]):
-                continue
-            best = max(best, float(np.abs(np.vdot(v[k], v[j]))))
+    for j, k in zip(*np.nonzero(distinct)):  # every j < k, row by row
+        best = max(best, float(np.abs(np.vdot(v[k], v[j]))))
     return best
 
 
@@ -420,7 +418,7 @@ def conjecture_probe(
         values[list(support)] = _standard_normal(rng, len(support), frame.field)
         target = synthesis(frame, CoefficientFunction(frame.space, values))
         solution = _walk(SparseProblem(frame, target, eps_residual), members, plan)
-        weight = math.fsum(w[list(support)])
+        weight = math.fsum(w[list(support)].tolist())
         records.append({
             "trial": t,
             "planted_support": list(support),

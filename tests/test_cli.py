@@ -1036,3 +1036,113 @@ def test_bad_tolerance_is_one_line_domain_error(case, tmp_path, capsys):
     assert out == ""
     assert err == f"error: {message}\n"
     assert not (tmp_path / "o.json").exists()
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """Small frame and vector files, valid and broken, and output paths, by
+    name."""
+    from framelab import PSchauderFrame, canonical_lp, counting_measure, dft_pair, frame_to_obj, weighted_split
+
+    root = tmp_path_factory.mktemp("argv")
+
+    def unit(row):
+        return PSchauderFrame(counting_measure(1), 2.0, [row], [row])
+
+    nan_frame = frame_to_obj(mercedes_benz())
+    nan_frame["atoms"][0]["vector"][0] = float("nan")
+    texts = {
+        "mb": mercedes_benz(), "dft": dft_pair(2)[1], "split": weighted_split(canonical_lp(2, 2.0), 0, 2),
+        "d3": canonical_lp(3, 2.0), "p3": canonical_lp(2, 3.0), "e1": unit([1.0, 0.0]), "e2": unit([0.0, 1.0]),
+        # products, moduli and syntheses that overflow
+        "huge": PSchauderFrame(counting_measure(2), 2.0, [[1e300, 0.0], [0.0, 1e300]], [[1.7e308, 1.7e308]] * 2),
+        "huge-complex": PSchauderFrame(counting_measure(3), 2.0, [[1.7e308, 1.7e308j], [1, 0], [0, 1]],
+                                       [[1, 0], [0, 1], [1, 0]], "complex"),
+        "nan": json.dumps(nan_frame), "not-json": "[1,", "no-keys": "{}",
+        "v": "[1.0, 0.0]", "v-zero": "[0, 0]", "v-long": "[1, 2, 3]", "v-complex": "[[1, 0], [0, 1]]",
+        "v-nan": "[NaN, 1]", "v-big": "[1e308, 1e308]", "v-object": "{}", "v-word": '["x", 1]',
+    }
+    paths = {"missing": root / "missing.json", "dir": root, "out": root / "o.json",
+             "missing-dir": root / "no" / "o.json"}
+    for name, content in texts.items():
+        paths[name] = root / f"{name}.json"
+        if isinstance(content, str):
+            paths[name].write_text(content)
+        else:
+            save_frame(content, paths[name])
+    return {name: str(path) for name, path in paths.items()}
+
+
+_FRAMES = ["mb", "dft", "split", "d3", "p3", "e1", "e2", "huge", "huge-complex", "nan", "not-json", "no-keys", "missing", "dir"]
+_VECTOR_FILES = ["v", "v-zero", "v-long", "v-complex", "v-nan", "v-big", "v-object", "v-word", "not-json", "missing"]
+_INLINE = st.sampled_from(["1,0", "0,0", "1,0,0", "1:1,0", "0:0,1", "nan,1", "1e308,1e308", "x", "", ","])
+_INTS = st.sampled_from(["0", "1", "2", "-1", "x", "1.5", "99999999999999999999"])
+_SMALL = st.sampled_from(["0", "1", "2", "-1", "x"])  # counts whose work grows with the value
+_REALS = st.sampled_from(["0", "-0", "1e-9", "0.5", "-1", "nan", "inf", "1e308", "x"])
+_FRAME = st.sampled_from(_FRAMES).map("@{}".format)
+_VECTOR = st.sampled_from(_VECTOR_FILES).map("@{}".format)
+# per subcommand: flag -> value strategy; "@name" is the path of an
+# ``argv_files`` entry, None a bare switch
+_ARGV_FLAGS = {
+    "check": {"--frame-f": _FRAME, "--frame-g": _FRAME, "--x": _INLINE, "--x-file": _VECTOR, "--eps": _REALS,
+              "--format": st.sampled_from(["json", "csv", "xml"])},
+    "sparse": {"--frame": _FRAME, "--target": _INLINE, "--target-file": _VECTOR,
+               "--mode": st.sampled_from(["l0", "measure", "l1"]), "--max-card": _INTS, "--eps-residual": _REALS},
+    "validate": {"--frame": _FRAME, "--trials": _INTS, "--tol": _REALS, "--seed": _INTS},
+    "coherence": {"--frame": _FRAME, "--frame-g": _FRAME, "--normalized": st.none()},
+    "extremal": {"--frame-f": _FRAME, "--frame-g": _FRAME, "--budget": _INTS, "--seed": _INTS, "--eps": _REALS,
+                 "--max-card": _INTS},
+    "probe": {"--frame": _FRAME, "--trials": _SMALL, "--seed": _INTS, "--eps-residual": _REALS,
+              "--out": st.sampled_from(["@out", "@dir", "@missing-dir"])},
+}
+_REQUIRED = {"--frame", "--frame-f", "--frame-g"}
+_SOURCES = {"check": ["--x", "--x-file"], "sparse": ["--target", "--target-file"]}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_FLAGS)))
+    flags = _ARGV_FLAGS[command]
+    # a required flag is given nine times in ten and any other one time in
+    # two, and half the vector sources are one source, so most runs get
+    # past argparse and the source check
+    sources = _SOURCES.get(command, [])
+    chosen = [flag for flag in flags
+              if flag not in sources and draw(st.sampled_from([True] * 9 + [False]) if flag in _REQUIRED else st.booleans())]
+    if sources:
+        chosen += draw(st.sampled_from([sources[:1], sources[1:], sources, []]))
+    return [command] + [(flag, draw(flags[flag])) for flag in chosen]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+@example(argv=["check"])  # a usage error
+@example(argv=["check", ("--frame-f", "@e1"), ("--frame-g", "@e2"), ("--x", "1,0")])
+@example(argv=["coherence", ("--frame", "@huge"), ("--normalized", None)])
+# numpy warns on these overflows (and on the NaN of inf - inf in a complex
+# product) before framelab refuses them
+@example(argv=["extremal", ("--frame-f", "@mb"), ("--frame-g", "@huge")])
+@example(argv=["extremal", ("--frame-f", "@mb"), ("--frame-g", "@mb"), ("--eps", "1e308")])
+@example(argv=["check", ("--frame-f", "@dft"), ("--frame-g", "@huge-complex"), ("--x", "1e308,1e308")])
+@example(argv=["probe", ("--frame", "@split"), ("--trials", "2"), ("--out", "@dir")])
+@example(argv=["validate", ("--frame", "@mb"), ("--trials", "99999999999999999999")])
+def test_argv_fuzz_is_a_known_exit_with_one_line_on_failure(argv_files, argv):
+    words = [argv[0]]
+    for flag, value in argv[1:]:
+        if value is None:
+            words.append(flag)
+        else:
+            words.append(f"{flag}={argv_files[value[1:]] if value.startswith('@') else value}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(words)
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    assert code in (0, 1, 2, 3, 4), words
+    if code == 0:
+        assert err.getvalue() == "", words
+    else:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n"), (words, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -553,6 +553,36 @@ def test_uncertainty_batch_matches_frozen_per_vector_checker(eps):
     assert checked > 700
 
 
+def test_a_repeated_sweep_takes_every_report_from_the_memo():
+    memo = frames._memo_report
+    memo.cache_clear()
+    test_uncertainty_batch_matches_frozen_per_vector_checker(1e-9)
+    first = memo.cache_info()
+    assert 0 < first.misses <= first.maxsize
+    # the second pass compares every report with the frozen checker again
+    test_uncertainty_batch_matches_frozen_per_vector_checker(1e-9)
+    second = memo.cache_info()
+    assert second.misses == first.misses
+    assert second.hits - first.hits > 2 * 700
+    ff, fg = dft_pair(4)
+    assert uncertainty_check(ff, fg, np.ones(4)) is uncertainty_check(ff, fg, np.ones(4))
+
+
+def test_report_memo_stays_within_its_bound():
+    # weights 2^k give every one of the 2^12 - 1 supports its own measure,
+    # so the batch asks for more distinct reports than the memo holds
+    n = 12
+    frame = PSchauderFrame(MeasureSpace(2.0 ** np.arange(n)), 2.0, np.eye(n), np.eye(n))
+    rows = (np.arange(1, 2 ** n)[:, None] >> np.arange(n) & 1).astype(float)
+    before = frames._memo_report.cache_info()
+    reports = uncertainty_batch(frame, frame, rows, 0.0)
+    after = frames._memo_report.cache_info()
+    assert after.misses - before.misses > after.maxsize
+    assert after.currsize <= after.maxsize
+    for i in (0, 1000, len(rows) - 1):
+        assert _bits(reports[i]) == _bits(oracles.legacy_uncertainty_check(frame, frame, rows[i], 0.0))
+
+
 def _one_class_frame(weight, field, seed, n=12, d=4):
     # random tables with about half their entries exactly zero, so sparse
     # inputs give analysis images of many different support counts; the
