@@ -245,10 +245,8 @@ def cmd_sparse(args) -> int:
     frame = frame_io.load_frame(args.frame)
     target = _load_vector(args.target, args.target_file, frame.field)
     problem = sparse.SparseProblem(frame, target, args.eps_residual)
-    if args.mode == "l0":
-        solution = sparse.l0_brute_force(problem, max_card=args.max_card)
-    else:
-        solution = sparse.measure_min_brute_force(problem)
+    solve = sparse.l0_brute_force if args.mode == "l0" else sparse.measure_min_brute_force
+    solution = solve(problem, max_card=args.max_card)
     _emit(_solution_obj(frame, solution, args.mode))
     if solution.status != sparse.SOLVED:
         print("no support fits the target within tolerance", file=sys.stderr)
@@ -374,10 +372,7 @@ def main(argv=None) -> int:
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except FrameError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
+    except (FrameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

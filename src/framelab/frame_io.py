@@ -117,12 +117,12 @@ def frame_from_obj(obj) -> PSchauderFrame:
             raise FrameError(f"atom {k} rows must have length {dim}")
         functionals.append(fun)
         vectors.append(vec)
-    dtype = np.complex128 if field == COMPLEX else np.float64
+    # both constructors convert the decoded lists and keep their own copies
     return PSchauderFrame(
-        space=MeasureSpace(np.array(weights)),
+        space=MeasureSpace(weights),
         p=_decode_number(obj["p"], "p"),
-        functionals=np.array(functionals, dtype=dtype),
-        vectors=np.array(vectors, dtype=dtype),
+        functionals=functionals,
+        vectors=vectors,
         field=field,
     )
 

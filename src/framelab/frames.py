@@ -441,13 +441,6 @@ def _memo_report(
                              lhs1 >= bound1 - CUE_TOLERANCE, lhs2 >= bound2 - CUE_TOLERANCE)
 
 
-def _report(
-    frame_f: PSchauderFrame, coh: tuple[float, float], supp_f: float, supp_g: float
-) -> UncertaintyReport:
-    """The (shared) report of one pair of support measures."""
-    return _memo_report(frame_f.p, coh[0], coh[1], supp_f, supp_g)
-
-
 def uncertainty_batch(
     frame_f: PSchauderFrame,
     frame_g: PSchauderFrame,
@@ -463,7 +456,7 @@ def uncertainty_batch(
     rejected like x = 0 there.
     """
     coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, X, eps)
-    return [_report(frame_f, coh, supp_f, supp_g) for supp_f, supp_g in zip(supps_f, supps_g)]
+    return [_memo_report(frame_f.p, *coh, supp_f, supp_g) for supp_f, supp_g in zip(supps_f, supps_g)]
 
 
 def uncertainty_check(
@@ -499,7 +492,7 @@ def uncertainty_check(
         if not xv.any():
             raise FrameError("theorem excludes x = 0") from None
         raise
-    return _report(frame_f, coh, _support(frame_f, xv, eps), _support(frame_g, xv, eps))
+    return _memo_report(frame_f.p, *coh, _support(frame_f, xv, eps), _support(frame_g, xv, eps))
 
 
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
@@ -544,14 +537,20 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _standard_normal(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    """Standard normal entries; for a complex field, standard complex normal
-    ``(re + 1j*im)/sqrt(2)`` with every real part drawn before the imaginary
-    parts."""
+def _gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard normal entries; for a complex field, ``re + 1j*im`` with
+    every real part drawn before the imaginary parts (unnormalized)."""
     if field == COMPLEX:
         re = rng.standard_normal(shape)
-        return (re + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return re + 1j * rng.standard_normal(shape)
     return rng.standard_normal(shape)
+
+
+def _standard_normal(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """``_gaussian`` entries; complex ones scaled to standard complex normal
+    ``(re + 1j*im)/sqrt(2)``."""
+    z = _gaussian(rng, shape, field)
+    return z / np.sqrt(2.0) if field == COMPLEX else z
 
 
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
@@ -731,11 +730,11 @@ def extremal_search(
             continue
         coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, xs, eps)
         evaluated += len(xs)
-        # lhs1 as ``_report`` computes it, so the winner's report repeats it
+        # lhs1 as ``_memo_report`` computes it, so the winner's report repeats it
         lhs1s = [supp_f ** inv_p * supp_g ** inv_q for supp_f, supp_g in zip(supps_f, supps_g)]
         i = lhs1s.index(min(lhs1s))
         if best is None or lhs1s[i] < best.lhs1:
-            best = _report(frame_f, coh, supps_f[i], supps_g[i])
+            best = _memo_report(frame_f.p, *coh, supps_f[i], supps_g[i])
             best_x = xs[i].copy()
 
     if best is None or best_x is None:

@@ -47,6 +47,11 @@ ENUMERATION_GUARD = 10_000_000
 _SCREEN_CHUNK = 256
 _SCREEN_ENTRIES = 1 << 20
 
+# Most trials one probe may run.  A trial took 0.2-0.6 ms (2 CPUs) and
+# its record holds 0.7-2 KB, so at the guard a probe runs a few seconds and
+# keeps at most about 20 MB of records on the frames measured (n = 3..14).
+_PROBE_TRIALS_GUARD = 10_000
+
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
 
@@ -167,7 +172,7 @@ def _padded_solution(
         status=SOLVED,
         support=nonzero,
         support_cardinality=len(nonzero),
-        support_weight=math.fsum(frame.space.weights[list(nonzero)].tolist()) if nonzero else 0.0,
+        support_weight=math.fsum(frame.space.weights[list(nonzero)].tolist()),
         residual=residual,
         unique=unique,
         coefficients=CoefficientFunction(frame.space, values),
@@ -186,13 +191,14 @@ def _infeasible() -> SparseSolution:
     )
 
 
-def _weight_plan(weights: np.ndarray, cap: int):
-    """The supports of at most ``cap`` atoms as levels of equal (total
+def _weight_plan(weights: np.ndarray, max_card: int | None):
+    """The supports of at most ``max_card`` atoms as levels of equal (total
     weight, cardinality), in that order.
 
-    The guard comes first: it sums C(n, k) for k = 0..cap and refuses at the
-    first partial total above ``ENUMERATION_GUARD``, so a refusal costs a few
-    small integers at any n and nothing is built.
+    ``max_card`` None means all n atoms; otherwise it must lie in 0..n.
+    The guard comes next: it sums C(n, k) for k up to that cap and refuses
+    at the first partial total above ``ENUMERATION_GUARD``, so a refusal
+    costs a few small integers at any n and nothing is built.
 
     Atoms of one exact weight form a class.  A support's weight depends only
     on how many atoms it takes from each class, and ``math.fsum`` is correctly
@@ -201,6 +207,9 @@ def _weight_plan(weights: np.ndarray, cap: int):
     and the sorted list of ``(weight, cardinality, [count vectors])``.
     """
     n = weights.size
+    cap = n if max_card is None else int(max_card)
+    if not 0 <= cap <= n:
+        raise FrameError("max_card must lie in 0..n_atoms")
     total = c = 1
     for k in range(cap):
         c = c * (n - k) // (k + 1)
@@ -298,24 +307,22 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
 
     Supports are visited by increasing cardinality, lexicographic within a
     cardinality, so the returned solution is deterministic.  ``unique`` is
-    true when no other support of the same cardinality also fits.
+    true when no other support of the same cardinality also fits.  Only
+    supports of at most ``max_card`` atoms (None: all n) are searched.
     """
-    n = problem.frame.n_atoms
-    cap = n if max_card is None else int(max_card)
-    if not 0 <= cap <= n:
-        raise FrameError("max_card must lie in 0..n_atoms")
-    return _walk(problem, *_weight_plan(np.ones(n), cap))
+    return _walk(problem, *_weight_plan(np.ones(problem.frame.n_atoms), max_card))
 
 
-def measure_min_brute_force(problem: SparseProblem) -> SparseSolution:
+def measure_min_brute_force(problem: SparseProblem, max_card: int | None = None) -> SparseSolution:
     """Minimize the total weight of the active atoms by exhaustive search.
 
     Supports are visited by increasing total weight, ties broken by smaller
     cardinality then lexicographic order.  ``unique`` is true when no
-    distinct support of exactly equal weight also fits.  Reduces to
+    distinct support of exactly equal weight also fits.  Only supports of at
+    most ``max_card`` atoms (None: all n) are searched.  Reduces to
     ``l0_brute_force`` under counting measure.
     """
-    return _walk(problem, *_weight_plan(problem.frame.space.weights, problem.frame.n_atoms))
+    return _walk(problem, *_weight_plan(problem.frame.space.weights, max_card))
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,16 +403,19 @@ def conjecture_probe(
     counterexamples are derived from them, and counterexamples carry the full
     frame inline for replay (one shared ``frame_to_obj`` dict).
     The returned report is a plain JSON-serializable dict and is a pure
-    function of (frame, trials, seed, eps_residual).
+    function of (frame, trials, seed, eps_residual).  More than
+    ``_PROBE_TRIALS_GUARD`` trials are refused before anything is planned.
     """
     _check_tolerance("eps_residual", eps_residual)
     if frame.p != 2.0:
         raise FrameError("the probe uses the Hilbert pairing; p must be 2")
     if trials < 1:
         raise FrameError("trials must be at least 1")
+    if trials > _PROBE_TRIALS_GUARD:
+        raise ResourceGuardError(f"trials {trials} exceeds guard {_PROBE_TRIALS_GUARD}")
     rng = _seeded_rng(seed)
     n, w = frame.n_atoms, frame.space.weights
-    members, plan = _weight_plan(w, n)
+    members, plan = _weight_plan(w, None)
     coh_all = gram_coherence(frame)
     coh_distinct = _distinct_vector_coherence(frame)
     thr_all = uniqueness_threshold(coh_all)

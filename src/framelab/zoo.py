@@ -18,6 +18,7 @@ from .frames import (
     MeasureSpace,
     PSchauderFrame,
     _check_table_guard,
+    _gaussian,
     _seeded_rng,
     counting_measure,
 )
@@ -66,9 +67,6 @@ def dft_pair(d: int) -> tuple[PSchauderFrame, PSchauderFrame]:
     """Canonical complex coordinate frame paired with the unitary discrete
     Fourier frame (atom k is the k-th Fourier column, entries
     ``exp(-2j*pi*j*k/d)/sqrt(d)``); cross-coherence is 1/sqrt(d)."""
-    if d < 1:
-        raise FrameError("dimension must be at least 1")
-    _check_table_guard(d, d)
     first = canonical_lp(d, 2.0, COMPLEX)
     j = np.arange(d)
     vectors = np.exp(-2j * np.pi * np.outer(j, j) / d) / np.sqrt(d)
@@ -110,11 +108,7 @@ def random_parseval(d: int, n: int, seed: int = 0, field: str = REAL) -> PSchaud
     if d < 1:
         raise FrameError("dimension must be at least 1")
     _check_table_guard(n, d)
-    rng = _seeded_rng(seed)
-    if field == COMPLEX:
-        raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    else:
-        raw = rng.standard_normal((n, d))
+    raw = _gaussian(_seeded_rng(seed), (n, d), field)
     q = np.zeros_like(raw)
     for col in range(d):
         v = raw[:, col].copy()
@@ -165,11 +159,7 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     a = frame.functionals.T * frame.space.weights
     _, _, vh = np.linalg.svd(a)
     null_basis = vh[d:].conj().T                           # (n, n-d)
-    rng = _seeded_rng(seed)
-    if frame.field == COMPLEX:
-        mix = rng.standard_normal((n - d, d)) + 1j * rng.standard_normal((n - d, d))
-    else:
-        mix = rng.standard_normal((n - d, d))
+    mix = _gaussian(_seeded_rng(seed), (n - d, d), frame.field)
     perturbation = scale * (null_basis @ mix)
     return PSchauderFrame(
         frame.space, frame.p, frame.functionals, frame.vectors + perturbation, frame.field

@@ -565,3 +565,45 @@ def legacy_conjecture_probe(frame, trials, seed=0, eps_residual=None):
     if not feasible:
         report["note"] = "hypothesis unsatisfiable: no nonempty support has weight below the threshold"
     return report
+
+
+# Frozen copies of the zoo's two seeded Gaussian draws, each with its own
+# ``if field == complex`` branch (real parts drawn first, unnormalized).  The
+# frame is built through framelab's public PSchauderFrame; the argument
+# checks are left out.
+
+
+def legacy_random_parseval(d, n, seed=0, field="real"):
+    """``zoo.random_parseval`` on valid input: Gram-Schmidt on the columns
+    of a seeded (n, d) Gaussian matrix."""
+    from framelab import PSchauderFrame, counting_measure
+
+    rng = np.random.default_rng(seed)
+    if field == "complex":
+        raw = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    else:
+        raw = rng.standard_normal((n, d))
+    q = np.zeros_like(raw)
+    for col in range(d):
+        v = raw[:, col].copy()
+        for prev in range(col):
+            v -= (np.conj(q[:, prev]) @ v) * q[:, prev]
+        q[:, col] = v / np.linalg.norm(v)
+    return PSchauderFrame(counting_measure(n), 2.0, np.conj(q), q, field)
+
+
+def legacy_alternate_dual(frame, seed=0, scale=1.0):
+    """``zoo.alternate_dual`` on a valid redundant Parseval pair: the vectors
+    plus a seeded mix of the kernel of weighted synthesis."""
+    from framelab import PSchauderFrame
+
+    n, d = frame.n_atoms, frame.dimension
+    _, _, vh = np.linalg.svd(frame.functionals.T * frame.space.weights)
+    null_basis = vh[d:].conj().T
+    rng = np.random.default_rng(seed)
+    if frame.field == "complex":
+        mix = rng.standard_normal((n - d, d)) + 1j * rng.standard_normal((n - d, d))
+    else:
+        mix = rng.standard_normal((n - d, d))
+    perturbation = scale * (null_basis @ mix)
+    return PSchauderFrame(frame.space, frame.p, frame.functionals, frame.vectors + perturbation, frame.field)

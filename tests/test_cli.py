@@ -624,6 +624,21 @@ def test_sparse_stdout_bytes(case, tmp_path, capsys):
         assert all(len(c) == 2 for c in json.loads(out)["coefficients"])  # [re, im] pairs
 
 
+@pytest.mark.parametrize("mode", ["l0", "measure"])
+def test_sparse_max_card_caps_both_modes(mode, tmp_path, capsys):
+    # on the Mercedes-Benz frame (1, 0) needs two atoms
+    path = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), path)
+    argv = ["sparse", "--frame", str(path), "--target", "1,0", "--mode", mode]
+    code, out, _ = run_cli(*argv, capsys=capsys)
+    assert code == 0 and json.loads(out)["support_cardinality"] == 2
+    for cap in ("0", "1"):
+        code, out, err = run_cli(*argv, "--max-card", cap, capsys=capsys)
+        assert code == 3 and json.loads(out)["status"] == "infeasible"
+    code, out, err = run_cli(*argv, "--max-card", "4", capsys=capsys)
+    assert (code, out, err) == (2, "", "error: max_card must lie in 0..n_atoms\n")
+
+
 @pytest.mark.parametrize(
     "target,message",
     [
@@ -697,6 +712,19 @@ def test_probe_guard_exit_code(tmp_path, capsys):
     save_frame(canonical_lp(25, 2.0), path)
     code, _, err = run_cli("probe", "--frame", str(path), "--trials", "1", capsys=capsys)
     assert code == 4
+
+
+@pytest.mark.parametrize("trials", ["10001", "99999999999999999999"])
+def test_probe_trials_guard_is_one_line(trials, tmp_path, capsys):
+    # refused in arithmetic, before any support plan or trial record
+    from framelab import sparse
+
+    path = tmp_path / "mb.json"
+    save_frame(mercedes_benz(), path)
+    assert int(trials) > sparse._PROBE_TRIALS_GUARD
+    code, out, err = run_cli("probe", "--frame", str(path), "--trials", trials, capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == f"resource guard: trials {trials} exceeds guard {sparse._PROBE_TRIALS_GUARD}\n"
 
 
 @pytest.fixture(scope="module")

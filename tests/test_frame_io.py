@@ -92,6 +92,53 @@ def test_malformed_frame_objects_rejected(mutate):
         frame_from_obj(obj)
 
 
+def _frame_obj_refusals():
+    def atom(k, **change):
+        def mutate(o):
+            o["atoms"][k].update(change)
+            return o
+        return mutate
+
+    def drop(key):
+        def mutate(o):
+            del o["atoms"][1][key]
+            return o
+        return mutate
+
+    def weights(*ws):
+        def mutate(o):
+            for a, w in zip(o["atoms"], ws):
+                a["weight"] = w
+            return o
+        return mutate
+
+    real, cplx = mercedes_benz(), dft_pair(2)[1]
+    return [
+        # (label, frame, object -> malformed object, message)
+        ("list", real, lambda o: [o], "frame file must hold a JSON object"),
+        ("missing-keys", real, lambda o: {"p": 2.0, "atoms": []}, "frame file missing keys: ['dimension', 'field']"),
+        ("atom-not-object", real, lambda o: {**o, "atoms": [o["atoms"][0], 1.0]}, "atom 1 must be an object"),
+        ("atom-missing-weight", real, drop("weight"), "atom 1 missing 'weight'"),
+        ("atom-missing-vector", real, drop("vector"), "atom 1 missing 'vector'"),
+        ("complex-scalar-not-pair", cplx, atom(0, vector=[1.0, [0.0, 1.0]]), "complex scalars must be [re, im] pairs"),
+        ("row-length", real, atom(2, functional=[1.0]), "atom 2 rows must have length 2"),
+        ("weight-zero", real, weights(1.0, 0.0), "every atom weight must be strictly positive"),
+        ("weights-overflow", real, weights(1e308, 1e308), "the total weight overflows a double"),
+        ("p-one", real, lambda o: {**o, "p": 1.0}, "exponent p must be finite with 1 < p < inf"),
+    ]
+
+
+@pytest.mark.parametrize("case", _frame_obj_refusals(), ids=lambda c: c[0])
+def test_frame_obj_refusals_keep_their_message(case):
+    # the decoded lists go straight to MeasureSpace and PSchauderFrame, whose
+    # refusals the loader passes on unchanged
+    _, frame, malform, message = case
+    with pytest.raises(FrameError) as info:
+        frame_from_obj(malform(frame_to_obj(frame)))
+    assert type(info.value) is FrameError
+    assert str(info.value) == message
+
+
 def test_boolean_dimension_rejected():
     from framelab import canonical_lp
 

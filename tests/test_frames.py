@@ -59,6 +59,51 @@ def test_measure_space_refuses_a_total_weight_that_overflows():
     assert MeasureSpace(np.array([1e308, 1e307])).total_measure == 1.1e308
 
 
+def _construction_refusals():
+    space = counting_measure(2)
+    eye = np.eye(2)
+    frame = lambda fun, vec, field="real": lambda: PSchauderFrame(space, 2.0, fun, vec, field)
+    return [
+        # (label, call, message)
+        ("weights-empty", lambda: MeasureSpace(np.array([])), "weights must be a nonempty 1-d sequence"),
+        ("weights-2d", lambda: MeasureSpace(np.ones((2, 2))), "weights must be a nonempty 1-d sequence"),
+        ("counting-0", lambda: counting_measure(0), "need at least one atom"),
+        ("field-unknown", frame(eye, eye, "quaternion"), "field must be 'real' or 'complex'"),
+        ("tables-1d", frame([1.0, 0.0], [1.0, 0.0]), "functionals and vectors must be 2-d tables"),
+        ("tables-unequal", frame(eye, np.eye(2, 3)), "functional and vector tables must have equal shape"),
+        ("tables-rows", frame(np.eye(3, 2), np.eye(3, 2)), "one table row per atom required"),
+        ("tables-dimension-0", frame(np.zeros((2, 0)), np.zeros((2, 0))), "ambient dimension must be at least 1"),
+        ("coefficients-length", lambda: CoefficientFunction(space, np.ones(3)), "one coefficient per atom required"),
+        ("coefficients-text", lambda: CoefficientFunction(space, np.array(["a", "b"])),
+         "coefficients must be numeric"),
+        ("validate-trials-0", lambda: validate_frame(canonical_lp(2, 2.0), trials=0), "trials must be at least 1"),
+    ]
+
+
+@pytest.mark.parametrize("case", _construction_refusals(), ids=lambda c: c[0])
+def test_construction_refusals_keep_their_type_and_message(case):
+    _, call, message = case
+    with pytest.raises(FrameError) as info:
+        call()
+    assert type(info.value) is FrameError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_tables_that_cannot_be_coerced_are_refused(field):
+    # the rest of the message is numpy's own wording
+    with pytest.raises(FrameError) as info:
+        PSchauderFrame(counting_measure(1), 2.0, [["a"]], [[1.0]], field)
+    assert type(info.value) is FrameError
+    assert str(info.value).startswith(f"cannot coerce tables to {field} scalars: ")
+
+
+def test_integer_coefficients_are_stored_as_doubles():
+    coeffs = CoefficientFunction(counting_measure(3), np.array([1, -2, 0]))
+    assert coeffs.values.dtype == np.float64
+    assert coeffs.values.tolist() == [1.0, -2.0, 0.0]
+
+
 def test_counting_measure_flag():
     assert counting_measure(3).is_counting
     assert not MeasureSpace(np.array([1.0, 0.5])).is_counting

@@ -186,6 +186,19 @@ def test_l0_small_cap_on_many_atoms_still_solves():
     assert sol.unique is False  # every atom of the d = 1 frame is the same vector
 
 
+def test_measure_min_honours_max_card():
+    # the two light atoms fit together at weight 0.5; one atom fits alone
+    # only at weight 1
+    vectors = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    frame = PSchauderFrame(MeasureSpace(np.array([0.25, 0.25, 1.0])), 2.0, vectors, vectors, "real")
+    problem = SparseProblem(frame, np.array([1.0, 1.0]))
+    for cap in (None, 3, 2):
+        assert measure_min_brute_force(problem, max_card=cap).support == (0, 1)
+    capped = measure_min_brute_force(problem, max_card=1)
+    assert (capped.support, capped.support_weight, capped.unique) == ((2,), 1.0, True)
+    assert measure_min_brute_force(problem, max_card=0).status == "infeasible"
+
+
 # ------------------------------------------------------------ measure min
 
 
@@ -442,6 +455,41 @@ def test_probe_guard():
         conjecture_probe(canonical_lp(25, 2.0), trials=1)
 
 
+def _sparse_refusals():
+    mb, guard = mercedes_benz(), sparse._PROBE_TRIALS_GUARD
+    problem = SparseProblem(mb, np.array([1.0, 0.0]))
+    cap = (FrameError, "max_card must lie in 0..n_atoms")
+    return [
+        # (label, call, (type, message))
+        ("l0-max-card-negative", lambda: l0_brute_force(problem, max_card=-1), cap),
+        ("l0-max-card-above-n", lambda: l0_brute_force(problem, max_card=4), cap),
+        ("measure-max-card-negative", lambda: measure_min_brute_force(problem, max_card=-1), cap),
+        ("measure-max-card-above-n", lambda: measure_min_brute_force(problem, max_card=4), cap),
+        ("donoho-elad-other-space", lambda: donoho_elad_check(mb, CoefficientFunction(counting_measure(4), np.ones(4))),
+         (FrameError, "planted coefficients live on a different measure space")),
+        ("probe-trials-0", lambda: conjecture_probe(mb, trials=0), (FrameError, "trials must be at least 1")),
+        ("probe-trials-guard", lambda: conjecture_probe(mb, trials=guard + 1),
+         (ResourceGuardError, f"trials {guard + 1} exceeds guard {guard}")),
+        # the trials guard is arithmetic, checked before the support plan's
+        ("probe-trials-guard-before-plan", lambda: conjecture_probe(harmonic_discretization(1, 5000), trials=10**20),
+         (ResourceGuardError, f"trials {10**20} exceeds guard {guard}")),
+    ]
+
+
+@pytest.mark.parametrize("case", _sparse_refusals(), ids=lambda c: c[0])
+def test_sparse_refusals_keep_their_type_and_message(case):
+    _, call, (kind, message) = case
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value) == message
+
+
+def test_probe_runs_at_its_trials_guard(monkeypatch):
+    monkeypatch.setattr(sparse, "_PROBE_TRIALS_GUARD", 3)
+    assert conjecture_probe(mercedes_benz(), trials=3)["trials_run"] == 3
+
+
 # ------------------------------------------- engine vs frozen per-support path
 
 
@@ -563,6 +611,29 @@ def test_engine_matches_frozen_per_support_solvers(name):
         assert _solution_bits(measure_min_brute_force(problem)) == _solution_bits(
             oracles.legacy_measure_min(problem)
         ), (t, eps)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
+def test_capped_solvers_match_exhaustive_oracle(name):
+    # the lightest (l0: smallest) fits among the supports of at most cap atoms
+    frame = ENGINE_FRAMES[name]
+    cols, w = oracles.synthesis_matrix(frame), frame.space.weights
+    targets, _ = _engine_targets(frame, np.random.default_rng(len(name)))
+    for t, target in enumerate(targets):
+        problem = SparseProblem(frame, target)
+        tol = problem.resolved_tolerance()
+        fits = [s for s in oracles.all_supports(frame.n_atoms) if oracles.fit_residual(cols, s, target) <= tol]
+        for cap in range(frame.n_atoms + 1):
+            for solve, cost in ((measure_min_brute_force, lambda s: math.fsum(w[list(s)])), (l0_brute_force, len)):
+                sol = solve(problem, max_card=cap)
+                costs = {s: cost(s) for s in fits if len(s) <= cap}
+                if not costs:
+                    assert sol.status == "infeasible", (t, cap)
+                    continue
+                best = min(costs.values())
+                optimal = {s for s, c in costs.items() if c == best}
+                assert sol.support in optimal, (t, cap)
+                assert sol.unique == (len(optimal) == 1), (t, cap)
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from framelab import (
     VALIDATION_GUARD,
     FrameError,
     FrameSpec,
+    PSchauderFrame,
     ResourceGuardError,
     analysis,
     alternate_dual,
@@ -15,6 +17,7 @@ from framelab import (
     cross_coherence,
     default_zoo,
     dft_pair,
+    frame_digest,
     harmonic_discretization,
     mercedes_benz,
     picket_fence,
@@ -242,6 +245,60 @@ def test_alternate_dual_of_random_parseval():
 def test_alternate_dual_requires_redundancy():
     with pytest.raises(FrameError):
         alternate_dual(canonical_lp(2, 2.0), seed=0)
+
+
+def _draw_cases():
+    # (label, zoo call, frozen oracle call)
+    rp = lambda *args: (lambda: random_parseval(*args), lambda: oracles.legacy_random_parseval(*args))
+    harmonic = harmonic_discretization(4, 8)
+    return [
+        ("parseval-real-3-5", *rp(3, 5, 7)),
+        ("parseval-real-6-13", *rp(6, 13, 2)),
+        ("parseval-complex-3-5", *rp(3, 5, 7, "complex")),
+        ("parseval-complex-6-13", *rp(6, 13, 2, "complex")),
+        ("dual-real-mercedes", lambda: alternate_dual(mercedes_benz(), 11),
+         lambda: oracles.legacy_alternate_dual(mercedes_benz(), 11)),
+        ("dual-real-parseval", lambda: alternate_dual(random_parseval(2, 4, 9), 10, 0.5),
+         lambda: oracles.legacy_alternate_dual(random_parseval(2, 4, 9), 10, 0.5)),
+        ("dual-complex-parseval", lambda: alternate_dual(random_parseval(3, 5, 4, "complex"), 2),
+         lambda: oracles.legacy_alternate_dual(random_parseval(3, 5, 4, "complex"), 2)),
+        ("dual-complex-harmonic", lambda: alternate_dual(harmonic, 5, 0.25),
+         lambda: oracles.legacy_alternate_dual(harmonic, 5, 0.25)),
+    ]
+
+
+@pytest.mark.parametrize("case", _draw_cases(), ids=lambda c: c[0])
+def test_seeded_draws_match_frozen_draws(case):
+    # every byte of the frame file, so every bit of both tables
+    label, make, frozen = case
+    frame = make()
+    assert frame_digest(frame) == frame_digest(frozen())
+    assert frame.field == ("complex" if "complex" in label else "real")
+
+
+def _zoo_refusals():
+    mb = mercedes_benz()
+    return [
+        # (label, call, message)
+        ("dual-p3", lambda: alternate_dual(canonical_lp(2, 3.0)), "alternate duals are built for p = 2 only"),
+        ("dual-unpaired", lambda: alternate_dual(alternate_dual(mb, 1)),
+         "input must pair each vector with its conjugate functional"),
+        ("dual-not-isometric",
+         lambda: alternate_dual(PSchauderFrame(mb.space, 2.0, 2 * mb.vectors, 2 * mb.vectors)),
+         "input vector family is not norm-preserving"),
+        ("permutation-sign-count", lambda: signed_permutation(3, 2.0, signs=(1.0, -1.0)),
+         "one unimodular sign per atom required"),
+        ("harmonic-0-0", lambda: harmonic_discretization(0, 0), "dimension must be at least 1"),
+    ]
+
+
+@pytest.mark.parametrize("case", _zoo_refusals(), ids=lambda c: c[0])
+def test_zoo_refusals_keep_their_type_and_message(case):
+    _, call, message = case
+    with pytest.raises(FrameError) as info:
+        call()
+    assert type(info.value) is FrameError
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------- weighted split
