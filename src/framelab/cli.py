@@ -4,7 +4,8 @@ sparse problems, and probe the measure-minimization conjecture.
 
 Machine-readable output (JSON, or CSV where offered) goes to stdout; prose
 goes to stderr.  Exit codes: 0 success, 1 usage error, 2 domain violation,
-3 infeasible problem, 4 resource guard exceeded.  The environment variable
+3 infeasible problem, 4 resource guard exceeded, 141 stdout closed by its
+reader (128 + SIGPIPE, silently).  The environment variable
 ``FRAMELAB_SEED`` supplies a default seed; explicit flags take precedence.
 """
 
@@ -37,6 +38,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_INFEASIBLE = 3
 EXIT_GUARD = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer its reader left
 
 SCHEMA_VERSION = 1
 # ``sparse`` reports an infinite residual as "unbounded" (``json_number``),
@@ -368,7 +370,14 @@ def main(argv=None) -> int:
         # every overflow that matters is refused by a check that names it;
         # numpy's own warning would only add lines to stderr
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left (`| head`): nothing is wrong with the input.  Point
+        # stdout at devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -11,8 +11,12 @@ and ``l0_brute_force`` their number, which is the same search over unit
 weights.  Both walk one plan of support levels by (weight, cardinality),
 built over the classes of equal atom weight, so no table of all 2^n
 supports is built; one guard on the support count refuses a plan before
-any of it is built.  One R factor of [A_S | target] screens each chunk of
-supports S, and the exact per-support least-squares fit makes every decision.
+any of it is built.  Each level is built from its parent levels in one
+enumeration tree (``_Tree``): a support is its parent, the support minus
+its last atom, plus that atom, and one Gram-Schmidt step per level extends
+every parent's orthonormal basis and target residual by the new atom.  The
+residual's norm screens the supports, and the exact per-support
+least-squares fit makes every decision.
 ``conjecture_probe`` plans once, plants random low-weight supports and
 reports, never asserts, whether weight minimization recovers them uniquely;
 its totals and counterexamples are derived from its list of trial records.
@@ -20,9 +24,11 @@ its totals and counterexamples are derived from its list of trial records.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -42,9 +48,8 @@ from .frames import (
 # Largest number of candidate supports a solver call may enumerate.
 ENUMERATION_GUARD = 10_000_000
 
-# Supports screened by one stacked QR of [A_S | t]: at most this many, and at
-# most _SCREEN_ENTRIES entries, as d(k + 1) <= d n when a chunk has k < n.
-_SCREEN_CHUNK = 256
+# Most entries of screen state in one block of supports, and in all the
+# levels one walk keeps for their children.
 _SCREEN_ENTRIES = 1 << 20
 
 # Most trials one probe may run.  A trial took 0.2-0.6 ms (2 CPUs) and
@@ -204,7 +209,8 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     on how many atoms it takes from each class, and ``math.fsum`` is correctly
     rounded, so one ``fsum`` per count vector equals, bit for bit, the
     ``fsum`` over any support with those counts.  Returns the class members
-    and the sorted list of ``(weight, cardinality, [count vectors])``.
+    (index arrays) and the sorted list of ``(weight, cardinality, [count
+    vectors])``.
     """
     n = weights.size
     cap = n if max_card is None else int(max_card)
@@ -221,7 +227,7 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     classes: dict[float, list[int]] = {}
     for i, w in enumerate(weights.tolist()):
         classes.setdefault(w, []).append(i)
-    members = list(classes.values())
+    members = [np.array(m, dtype=np.intp) for m in classes.values()]
     # (count vector, summands) rows in itertools.product order, none above cap
     rows = [((), ())]
     for v, m in zip(classes, members):
@@ -233,70 +239,278 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
 
 
-def _expand(members: list[list[int]], count_vectors):
-    """The supports taking ``counts[j]`` atoms from class j, for any of the
-    given count vectors, in lexicographic order.  A level drawn from one
-    class streams that class's combinations, which are already in order."""
-    drawn = [[(m, c) for m, c in zip(members, counts) if c] for counts in count_vectors]
-    if len(drawn) == 1 and len(drawn[0]) == 1:
-        return itertools.combinations(*drawn[0][0])
-    return sorted(
-        tuple(sorted(itertools.chain.from_iterable(parts)))
-        for pairs in drawn
-        for parts in itertools.product(*(itertools.combinations(m, c) for m, c in pairs))
-    )
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    flat = rows.view(np.float64)  # a complex row as its real and imaginary parts
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+class _Tree:
+    """The levels of one ``_weight_plan``, each built from its parent levels.
+
+    A support's parent is the support minus its last atom.  When that atom
+    lies in class j, the parent has the count vector c - e_j and sits on an
+    earlier level, and the support is one of the parent's children through
+    class j: the parent plus one class-j atom past its last atom.  Children
+    of parents in lexicographic order come out in lexicographic order, so
+    ``np.lexsort`` runs only where levels are drawn through several (count
+    vector, class) pairs.  Consecutive levels of one cardinality are built
+    as one batch while they fit in one block.
+
+    With ``cols`` and ``target`` every support of 0 < k < d atoms carries a
+    state: an orthonormal basis of its columns, the target's residual off
+    them and a flag that is false on degenerate rows.  One modified
+    Gram-Schmidt step extends a parent's state by the new atom, and the
+    residual's norm bounds the support's least-squares residual from below;
+    Gram-Schmidt on [A | t] gives a backward-stable least-squares residual
+    (Bjorck 1967).  A row is degenerate when its new atom keeps less than 1%
+    of its norm off the parent's span, as a split copy or a zero atom does;
+    its bound, and that of every descendant, is |R[k, k]| of one stacked raw
+    QR of [A_S | t].
+
+    A block holds at most ``_SCREEN_ENTRIES`` entries of state, and so do
+    the levels kept for their children; the one-atom states of all atoms
+    take about twice the frame's own entries.  A level larger than one block
+    is streamed and not kept: its children enumerate it again from its own
+    parents, and each block of them rebuilds its parents' states from its
+    distinct prefixes.
+    """
+
+    def __init__(self, members: list[np.ndarray], cols: np.ndarray | None = None, target: np.ndarray | None = None):
+        self.members = members
+        self.d = 1 if cols is None else cols.shape[0]
+        self.atoms = None
+        if cols is not None:
+            self.atoms, self.target = np.ascontiguousarray(cols.T), target
+            with np.errstate(over="ignore"):
+                self.norms2 = _squared_norms(self.atoms)
+            # 1%, squared: while each new atom keeps more of its norm off the
+            # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
+            # bound it replaces, the accuracy to which that bound is pinned
+            self.floor = 1e-4 * self.norms2
+            # the empty support's state
+            self.empty = (np.zeros((1, 0, self.d), self.atoms.dtype), target[None], np.ones(1, dtype=bool))
+        # count vector -> (supports, their states or None, first row, end row)
+        self.kept = {}
+        self.room = _SCREEN_ENTRIES
+        # levels heavier than this are not built; a caller may lower it at any time
+        self.ceiling = math.inf
+
+    def levels(self, plan, bar: float = math.inf):
+        """(weight, supports as a list of tuples) per block of the plan's
+        levels, in plan order and lexicographic order within a level, up to
+        the first level heavier than ``ceiling``.  With ``cols``, a level of
+        0 < k < d atoms keeps only the supports whose bound is not above ``bar``."""
+        i = 0
+        while i < len(plan) and plan[i][0] <= self.ceiling:
+            k = plan[i][1]
+            rows = max(1, _SCREEN_ENTRIES // (self.d * (k + 1)))
+            j, size = i + 1, self._size(plan[i][2])
+            if size > rows:
+                blocks = self._stream(plan[i], rows, bar)
+            else:
+                while j < len(plan) and plan[j][1] == k and plan[j][0] <= self.ceiling:
+                    size += self._size(plan[j][2])
+                    if size > rows:
+                        break
+                    j += 1
+                blocks = self._batch(plan[i:j], rows, bar)
+            for weight, survivors in blocks:
+                if weight > self.ceiling:
+                    return
+                yield weight, survivors
+            i = j
+
+    @functools.cached_property
+    def _singles(self):
+        """The state of every one-atom support: the step from the empty
+        support, taken for all atoms at once."""
+        independent = self.norms2 > self.floor  # the atom is neither zero nor overflowing
+        q = self.atoms * (independent / np.sqrt(self.norms2))[:, None]
+        return q[:, None], self.target - q * (q.conj() @ self.target)[:, None], independent
+
+    def _size(self, count_vectors) -> int:
+        return sum(math.prod(map(math.comb, map(len, self.members), cv)) for cv in count_vectors)
+
+    def _batch(self, levels, rows: int, bar: float):
+        """Build levels of one cardinality, together at most ``rows`` supports,
+        as one block, and keep them for their children while they fit."""
+        k = levels[0][1]
+        if k == 0:
+            yield levels[0][0], [()]
+            return
+        screened = self.atoms is not None and k < self.d
+        cvs = [cv for level in levels for cv in level[2]]
+        groups = _groups(cvs)
+        parts = [(s, st, c) for j, pcv, c in groups for s, st in self._children(j, pcv, rows, screened and k > 1)]
+        supports, state, _ = parts[0]
+        if len(parts) > 1:
+            supports = np.concatenate([p[0] for p in parts])
+            states = [p[1] for p in parts]
+            state = None if None in states else tuple(map(np.concatenate, zip(*states)))
+        found, keep = supports, None
+        if screened:
+            state, keep = self._screen_block(supports, state, bar)
+            found = supports[keep]
+        self._keep(cvs, [(len(p[0]), p[2]) for p in parts], supports, state if screened and k + 1 < self.d else None)
+        if len(groups) == 1:
+            yield levels[0][0], list(map(tuple, found.tolist()))
+            return
+        # several groups: order the survivors by level, then lexicographically
+        level_of_cv = [i for i, level in enumerate(levels) for _ in level[2]]
+        level = np.repeat([level_of_cv[p[2]] for p in parts], [len(p[0]) for p in parts])
+        if keep is not None:
+            level = level[keep]
+        order = np.lexsort((*found.T[::-1], level))
+        for i, rows_of_level in itertools.groupby(zip(level[order].tolist(), found[order].tolist()), itemgetter(0)):
+            yield levels[i][0], [tuple(r) for _, r in rows_of_level]
+
+    def _keep(self, cvs, lengths, supports, state):
+        """Keep a batch for its children while it fits; the rows of one count
+        vector are contiguous, as its groups are."""
+        size = supports.size + (0 if state is None else sum(a.size for a in state))
+        if size > self.room:
+            return
+        self.room -= size
+        counts = [0] * len(cvs)
+        for length, c in lengths:
+            counts[c] += length
+        start = 0
+        for cv, count in zip(cvs, counts):
+            self.kept[cv] = (supports, state, start, start + count)
+            start += count
+
+    def _stream(self, level, rows: int, bar: float):
+        """Build one level larger than a block, block by block, keeping none of it."""
+        weight, k, cvs = level
+        screened = self.atoms is not None and k < self.d
+        for supports, state in self._rows(cvs, rows, screened and k > 1):
+            if screened:
+                supports = supports[self._screen_block(supports, state, bar)[1]]
+            yield weight, list(map(tuple, supports.tolist()))
+
+    def _rows(self, count_vectors, rows: int, with_state: bool):
+        """(supports, their parents' states or None) blocks of at most
+        ``rows`` supports with one of the count vectors, in lexicographic order."""
+        groups = _groups(count_vectors)
+        if len(groups) == 1:
+            yield from self._children(*groups[0][:2], rows, with_state)
+            return
+        supports = np.concatenate([s for j, pcv, _ in groups for s, _ in self._children(j, pcv, rows, False)])
+        supports = supports[np.lexsort(supports.T[::-1])]
+        for lo in range(0, len(supports), rows):
+            yield supports[lo : lo + rows], None
+
+    def _children(self, j: int, pcv: tuple, rows: int, with_state: bool):
+        """(supports, their parents' states or None) blocks of the children
+        of the supports with count vector ``pcv`` through class j."""
+        members = self.members[j]
+        if not any(pcv):  # the root's children: the class's members
+            for lo in range(0, members.size, rows):
+                yield members[lo : lo + rows, None], None
+            return
+        if pcv in self.kept:
+            supports, state, start, stop = self.kept[pcv]
+            sources = [(supports, state if with_state else None, start, stop)]
+        else:
+            sources = ((s, None, 0, len(s)) for s, _ in self._rows([pcv], rows, False))
+        step = max(1, rows // members.size)
+        for supports, state, start, stop in sources:
+            last = supports[start:stop, -1:]
+            for lo in range(0, stop - start, step):
+                p, col = np.nonzero(members > last[lo : lo + step])
+                p += start + lo
+                children = np.concatenate((supports[p], members[col, None]), axis=1)
+                yield children, None if state is None else (state[0][p], state[1][p], state[2][p])
+
+    def _screen_block(self, supports, state, bar: float):
+        """The supports' states, from their parents' states (or rebuilt when
+        those are None), and which supports the screen keeps under ``bar``."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if supports.shape[1] == 1:
+                state = tuple(a[supports[:, 0]] for a in self._singles)
+            else:
+                state = self._extend(*(state or self._grow(supports[:, :-1])), supports[:, -1])
+            return state, ~(self._bounds(supports, *state[1:]) > bar)
+
+    def _grow(self, supports):
+        """States of any supports, each built atom by atom once per distinct support."""
+        distinct, inverse = np.unique(supports, axis=0, return_inverse=True)
+        state = tuple(np.repeat(a, len(distinct), axis=0) for a in self.empty)
+        for atoms in distinct.T:
+            state = self._extend(*state, atoms)
+        return tuple(a[inverse] for a in state)
+
+    def _extend(self, basis, residual, independent, atoms):
+        """One modified Gram-Schmidt step: every row's state extended by one atom."""
+        v = self.atoms[atoms]
+        for i in range(basis.shape[1]):
+            q = basis[:, i]
+            v -= q * np.einsum("ij,ij->i", q.conj(), v)[:, None]
+        off = _squared_norms(v)
+        independent = independent & (off > self.floor[atoms])
+        q = v * (independent / np.sqrt(off))[:, None]  # NaN only on degenerate rows
+        residual = residual - q * np.einsum("ij,ij->i", q.conj(), residual)[:, None]
+        return np.concatenate((basis, q[:, None]), axis=1), residual, independent
+
+    def _bounds(self, supports, residual, independent):
+        """Lower bounds on the least-squares residuals: the residual's norm,
+        and on degenerate rows |R[k, k]| of one stacked raw QR of [A_S | t]."""
+        bound = np.sqrt(_squared_norms(residual))
+        if not independent.all():
+            rows = supports[~independent]
+            k = rows.shape[1]
+            # (k + 1, d) blocks, so the transpose hands LAPACK column-major [A_S | t]
+            stacked = np.empty((len(rows), k + 1, self.d), dtype=self.atoms.dtype)
+            stacked[:, :k] = self.atoms[rows]
+            stacked[:, k] = self.target
+            bound[~independent] = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="raw")[0][:, k, k])
+        return bound
+
+
+def _groups(count_vectors):
+    """(class j, parent count vector, count vector number) for every class
+    that a support of one of the count vectors can have its last atom in."""
+    return [(j, cv[:j] + (c - 1,) + cv[j + 1 :], i) for i, cv in enumerate(count_vectors) for j, c in enumerate(cv) if c]
 
 
 def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
     """The supports (all of one cardinality k) whose fit may reach the tolerance.
 
-    One stacked QR factors [A_S | t] for each support S.  Householder
-    reflectors depend only on the columns they reduce, so |R[k, k]| is the
-    norm of t off the span of Q's first k columns, which holds A_S's column
-    space: a lower bound on the least-squares residual.  A support is
-    dropped only when that bound exceeds ``bar``, well above the tolerance.
-    R[k, k] is read from ``mode="raw"``, which makes no triangular copy of R.
+    Each support's state is built from scratch through its distinct prefix,
+    as in a ``_Tree`` block whose parents were not kept, and a support is
+    dropped only when its bound exceeds ``bar``, well above the tolerance.
     """
     k = len(supports[0])
-    if len(supports) < 2 or k == 0 or k >= cols.shape[0]:
-        # one support screens at about the cost of fitting it; with k >= d,
-        # the reflectors span the whole space and nothing could be dropped
+    if k == 0 or k >= cols.shape[0]:
+        # with k >= d the columns may span the whole space: nothing could be dropped
         return supports
-    index = np.fromiter(itertools.chain.from_iterable(supports), np.intp, len(supports) * k)
-    # (k + 1, d) blocks, so the transpose hands LAPACK column-major [A_S | t]
-    stacked = np.empty((len(supports), k + 1, cols.shape[0]), dtype=cols.dtype)
-    stacked[:, :k] = cols.T[index.reshape(-1, k)]
-    stacked[:, k] = target
-    bound = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="raw")[0][:, k, k])
-    return [s for s, r in zip(supports, bound.tolist()) if not r > bar]
+    keep = _Tree([], cols, target)._screen_block(np.array(supports, dtype=np.intp), None, bar)[1]
+    return [s for s, kept in zip(supports, keep.tolist()) if kept]
 
 
-def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolution:
+def _walk(problem: SparseProblem, members: list[np.ndarray], plan) -> SparseSolution:
     """Shared exhaustive search of both solvers and every probe trial.
 
-    Visits the levels of a ``_weight_plan`` in order, expanding each one
-    when it is reached.  The search stops after the last level of the first
-    weight that has a fit; ``unique`` is true when no second support of that
-    weight also fits.  Supports are screened in chunks and every survivor is
-    decided, in order, by the exact ``_restricted_fit``.
+    Visits the levels of a ``_weight_plan`` in order, building each one
+    from its parents in a ``_Tree`` when it is reached.  The search stops
+    after the last level of the first weight that has a fit; ``unique`` is
+    true when no second support of that weight also fits.  Every support
+    the screen keeps is decided, in order, by the exact ``_restricted_fit``.
     """
     frame, target = problem.frame, problem.target
     tol = problem.resolved_tolerance()
     bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))
     cols = _synthesis_columns(frame)
-    chunk_size = max(2, min(_SCREEN_CHUNK, _SCREEN_ENTRIES // cols.size))  # d * (k + 1) <= cols.size
-    first = best = None
-    for objective, _, count_vectors in plan:
-        if first is not None and objective != best:
-            break
-        stream = iter(_expand(members, count_vectors))
-        while chunk := list(itertools.islice(stream, chunk_size)):
-            for support in _screen(cols, target, chunk, bar):
-                coeff, residual = _restricted_fit(cols, support, target)
-                if residual <= tol:
-                    if first is not None:
-                        return _padded_solution(frame, *first, unique=False)
-                    first, best = (support, coeff, residual), objective
+    tree = _Tree(members, cols, target)
+    first = None
+    for objective, survivors in tree.levels(plan, bar):
+        for support in survivors:
+            coeff, residual = _restricted_fit(cols, support, target)
+            if residual <= tol:
+                if first is not None:
+                    return _padded_solution(frame, *first, unique=False)
+                first = (support, coeff, residual)
+                tree.ceiling = objective
     if first is None:
         return _infeasible()
     return _padded_solution(frame, *first, unique=True)
@@ -381,10 +595,12 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     return best
 
 
-def _planted_pool(members: list[list[int]], plan, threshold: float) -> list[tuple[int, ...]]:
+def _planted_pool(members: list[np.ndarray], plan, threshold: float) -> list[tuple[int, ...]]:
     """The plan's nonempty supports of total weight below ``threshold``, by
     cardinality then lexicographic order."""
-    light = [s for weight, card, cvs in plan if card and weight < threshold for s in _expand(members, cvs)]
+    tree = _Tree(members)
+    tree.ceiling = math.nextafter(threshold, -math.inf)
+    light = [s for _, block in tree.levels(plan) for s in block if s]
     return sorted(light, key=lambda s: (len(s), s))
 
 

@@ -1174,3 +1174,22 @@ def test_argv_fuzz_is_a_known_exit_with_one_line_on_failure(argv_files, argv):
     else:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n"), (words, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_closed_stdout_pipe_exits_141_without_a_message(tmp_path):
+    # `framelab probe ... | head -c 10`: the reader leaves after 10 bytes of a
+    # report (about 330 KB) far larger than a pipe buffer
+    from framelab import random_parseval, weighted_split
+
+    frame = tmp_path / "split.json"
+    save_frame(weighted_split(random_parseval(6, 13, seed=0), 0, 2), frame)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "framelab", "probe", "--frame", str(frame), "--trials", "50", "--seed", "7"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"},
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -544,15 +545,23 @@ def _engine_targets(frame, rng):
 def _screen_sweep():
     """(frame, columns, target, level) for every support level with
     0 < k < d of ENGINE_FRAMES (the splits hold exactly parallel columns)
-    and of two more frames: one with a zero column and one with two
-    columns 1e-6 from parallel."""
+    and of four more frames: one with a zero column, one with two columns
+    1e-6 from parallel, and two at d = 5 whose first atom is zero or is
+    exactly repeated by the second, so degenerate prefixes reach three
+    levels deep."""
     base = random_parseval(3, 6, seed=8)
     zero, near = base.vectors.copy(), base.vectors.copy()
     zero[2] = 0.0
     near[4] = near[3] + 1e-6 * near[0]
+    wide = random_parseval(5, 8, seed=9)
+    first_zero, repeated = wide.vectors.copy(), wide.vectors.copy()
+    first_zero[0] = 0.0
+    repeated[1] = repeated[0]
     frames = dict(ENGINE_FRAMES)
     frames["zero-column"] = PSchauderFrame(base.space, 2.0, base.functionals, zero, "real")
     frames["near-parallel"] = PSchauderFrame(base.space, 2.0, base.functionals, near, "real")
+    frames["first-atom-zero"] = PSchauderFrame(wide.space, 2.0, wide.functionals, first_zero, "real")
+    frames["first-atom-repeated"] = PSchauderFrame(wide.space, 2.0, wide.functionals, repeated, "real")
     for name, frame in sorted(frames.items()):
         cols = sparse._synthesis_columns(frame)
         targets, nudged = _engine_targets(frame, np.random.default_rng(len(name)))
@@ -642,6 +651,84 @@ def test_probe_support_pool_matches_frozen_list(name):
     members, plan = sparse._weight_plan(w, w.size)
     for threshold in (0.0, float(w.min()), 1.0, 1.6, 2.5, math.inf):
         assert sparse._planted_pool(members, plan, threshold) == oracles.legacy_light_supports(w, threshold)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    classes=st.lists(st.integers(0, 2), min_size=1, max_size=9),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_tree_levels_hold_each_level_in_sorted_order(classes, d, seed):
+    # Each level the walk visits holds exactly the supports of its (weight,
+    # cardinality), in sorted order (the order of a sorted list of tuples),
+    # with and without screen state, kept or rebuilt parents, one or many blocks.
+    n = len(classes)
+    weights = np.array([0.3, 0.7, 1.1])[classes]
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((d, n))
+    cols[:, 0] = 0.0  # a zero atom, and a repeated one, make degenerate rows
+    if n > 2:
+        cols[:, 2] = cols[:, 1]
+    target = rng.standard_normal(d)
+    for max_card in range(n + 1):
+        members, plan = sparse._weight_plan(weights, max_card)
+        levels = {}
+        for k in range(max_card + 1):
+            for s in itertools.combinations(range(n), k):
+                levels.setdefault((math.fsum(weights[list(s)].tolist()), k), []).append(s)
+        expected = [s for weight, k, _ in plan for s in sorted(levels[weight, k])]
+        for entries in (sparse._SCREEN_ENTRIES, 32):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sparse, "_SCREEN_ENTRIES", entries)
+                for tree in (sparse._Tree(members), sparse._Tree(members, cols, target)):
+                    blocks = list(tree.levels(plan))
+                    assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
+                    assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
+def test_small_screen_blocks_give_the_same_solutions_and_probe_bytes(name, monkeypatch):
+    frame = ENGINE_FRAMES[name]
+    targets, nudged = _engine_targets(frame, np.random.default_rng(len(name)))
+
+    def run():
+        bits = [
+            _solution_bits(solve(SparseProblem(frame, target)))
+            for target in targets + nudged
+            for solve in (l0_brute_force, measure_min_brute_force)
+        ]
+        return bits, json.dumps(conjecture_probe(frame, trials=6, seed=11), indent=2, sort_keys=True)
+
+    default = run()
+    grow, rebuilt = sparse._Tree._grow, []
+    monkeypatch.setattr(sparse._Tree, "_grow", lambda tree, supports: rebuilt.append(len(supports)) or grow(tree, supports))
+    # a block of k-atom supports holds 32 // (d (k + 1)) of them, and no
+    # level of more than a few supports is kept
+    monkeypatch.setattr(sparse, "_SCREEN_ENTRIES", 32)
+    assert run() == default
+    assert rebuilt  # parent states were rebuilt from their distinct prefixes
+
+
+def test_a_level_larger_than_one_block_peaks_below_its_bound(monkeypatch):
+    # C(28, 3) = 3276 supports of three atoms in C^4 and no fit: at 2048
+    # entries a block holds 2048 // 16 = 128 of them, and the kept levels and
+    # one block's state hold at most 2048 complex entries each
+    problem = SparseProblem(random_parseval(4, 28, seed=12, field="complex"), np.array([1.0, 2.0, -1.0, 0.5j]))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            assert l0_brute_force(problem, max_card=3).status == "infeasible"
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    entries = 2048
+    bound = 8 * entries * 16 + 100_000  # blocks and their temporaries, plus the frame-sized arrays
+    whole_levels = peak()
+    monkeypatch.setattr(sparse, "_SCREEN_ENTRIES", entries)
+    assert peak() < bound < whole_levels
 
 
 @pytest.mark.parametrize("name", ["harmonic-split", "split-complex", "class-weights", "distinct-weights"])
