@@ -239,9 +239,43 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
 
 
+# conj(a) . b along the last axis, broadcasting; np.vecdot needs numpy 2
+_rowdot = getattr(np, "vecdot", lambda a, b: np.einsum("...j,...j->...", a.conj(), b))
+
+
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     flat = rows.view(np.float64)  # a complex row as its real and imaginary parts
-    return np.einsum("ij,ij->i", flat, flat)
+    return _rowdot(flat, flat)
+
+
+def _project(residual: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Each row's residual without its component along the row's unit vector q."""
+    return residual - q * _rowdot(q, residual)[:, None]
+
+
+def _groups(count_vectors):
+    """(class j, parent count vector, count vector number) for every class
+    that a support of one of the count vectors can have its last atom in."""
+    return [(j, cv[:j] + (c - 1,) + cv[j + 1 :], i) for i, cv in enumerate(count_vectors) for j, c in enumerate(cv) if c]
+
+
+@dataclass(eq=False)
+class _Batch:
+    """Plan levels ``start`` to ``end`` (exclusive), all of one cardinality,
+    built together.  The rows of one count vector are contiguous.  ``parts``
+    holds, per run of rows, where their parents are: ``()`` for the empty
+    support, else the parents' batch and rows.  ``level`` is each row's plan
+    number when the batch draws through several groups; with a screen,
+    ``basis`` and ``independent`` are each row's orthonormal basis and flag."""
+
+    start: int
+    end: int
+    supports: np.ndarray
+    parts: list
+    level: np.ndarray | None
+    basis: np.ndarray | None
+    independent: np.ndarray | None
+    kept: bool = False
 
 
 class _Tree:
@@ -252,140 +286,155 @@ class _Tree:
     earlier level, and the support is one of the parent's children through
     class j: the parent plus one class-j atom past its last atom.  Children
     of parents in lexicographic order come out in lexicographic order, so
-    ``np.lexsort`` runs only where levels are drawn through several (count
-    vector, class) pairs.  Consecutive levels of one cardinality are built
+    ``np.lexsort`` runs only where a batch draws through several (count
+    vector, class) groups.  Consecutive levels of one cardinality are built
     as one batch while they fit in one block.
 
-    With ``cols`` and ``target`` every support of 0 < k < d atoms carries a
-    state: an orthonormal basis of its columns, the target's residual off
-    them and a flag that is false on degenerate rows.  One modified
-    Gram-Schmidt step extends a parent's state by the new atom, and the
-    residual's norm bounds the support's least-squares residual from below;
-    Gram-Schmidt on [A | t] gives a backward-stable least-squares residual
-    (Bjorck 1967).  A row is degenerate when its new atom keeps less than 1%
-    of its norm off the parent's span, as a split copy or a zero atom does;
-    its bound, and that of every descendant, is |R[k, k]| of one stacked raw
-    QR of [A_S | t].
+    With ``cols``, every support of 0 < k < d atoms has an orthonormal basis
+    of its columns and a flag that is false on degenerate rows, and each walk
+    carries the target's residual off that basis.  One modified Gram-Schmidt
+    step extends a parent's basis by the new atom, and the residual's norm
+    bounds the support's least-squares residual from below; Gram-Schmidt on
+    [A | t] gives a backward-stable least-squares residual (Bjorck 1967).  A
+    row is degenerate when its new atom keeps less than 1% of its norm off
+    the parent's span, as a split copy or a zero atom does; its bound, and
+    that of every descendant, is |R[k, k]| of one stacked raw QR of [A_S | t].
+    The bases do not depend on the target, so the batches kept by one walk
+    serve every later walk of the tree (the probe's trials share one tree).
 
-    A block holds at most ``_SCREEN_ENTRIES`` entries of state, and so do
-    the levels kept for their children; the one-atom states of all atoms
-    take about twice the frame's own entries.  A level larger than one block
-    is streamed and not kept: its children enumerate it again from its own
-    parents, and each block of them rebuilds its parents' states from its
-    distinct prefixes.
+    A block holds at most ``_SCREEN_ENTRIES`` entries of state, and so do the
+    batches kept for their children, with one walk's residuals.  A level
+    larger than one block, or with a parent that was not kept, is streamed
+    and not kept: its supports are enumerated again from their own parents,
+    and each block of them rebuilds its parents' states from its distinct
+    prefixes.  One walk runs at a time.
     """
 
-    def __init__(self, members: list[np.ndarray], cols: np.ndarray | None = None, target: np.ndarray | None = None):
-        self.members = members
+    def __init__(self, members: list[np.ndarray], plan, cols: np.ndarray | None = None):
+        self.members, self.plan = members, plan
         self.d = 1 if cols is None else cols.shape[0]
         self.atoms = None
         if cols is not None:
-            self.atoms, self.target = np.ascontiguousarray(cols.T), target
-            with np.errstate(over="ignore"):
-                self.norms2 = _squared_norms(self.atoms)
+            self.atoms = np.ascontiguousarray(cols.T)
             # 1%, squared: while each new atom keeps more of its norm off the
             # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
             # bound it replaces, the accuracy to which that bound is pinned
-            self.floor = 1e-4 * self.norms2
-            # the empty support's state
-            self.empty = (np.zeros((1, 0, self.d), self.atoms.dtype), target[None], np.ones(1, dtype=bool))
-        # count vector -> (supports, their states or None, first row, end row)
-        self.kept = {}
+            with np.errstate(over="ignore"):
+                self.floor = 1e-4 * _squared_norms(self.atoms)
+        self.batches: dict[int, _Batch] = {}  # kept batches by the plan number of their first level
+        self.kept: dict[tuple, tuple] = {}  # count vector -> (its kept batch, first row, end row)
         self.room = _SCREEN_ENTRIES
-        # levels heavier than this are not built; a caller may lower it at any time
-        self.ceiling = math.inf
+        self.target, self.ceiling, self.residuals = None, math.inf, {}
 
-    def levels(self, plan, bar: float = math.inf):
-        """(weight, supports as a list of tuples) per block of the plan's
-        levels, in plan order and lexicographic order within a level, up to
-        the first level heavier than ``ceiling``.  With ``cols``, a level of
-        0 < k < d atoms keeps only the supports whose bound is not above ``bar``."""
+    def levels(self, target: np.ndarray | None = None, bar: float = math.inf, ceiling: float = math.inf):
+        """One walk: (weight, supports as a list of tuples) per block of the
+        plan's levels, in plan order and lexicographic order within a level,
+        up to the first level heavier than ``ceiling``, which the caller may
+        lower at any time.  With ``cols``, a level of 0 < k < d atoms keeps
+        only the supports whose bound for ``target`` is not above ``bar``."""
+        self.target, self.ceiling, self.residuals = target, ceiling, {}
         i = 0
-        while i < len(plan) and plan[i][0] <= self.ceiling:
-            k = plan[i][1]
-            rows = max(1, _SCREEN_ENTRIES // (self.d * (k + 1)))
-            j, size = i + 1, self._size(plan[i][2])
-            if size > rows:
-                blocks = self._stream(plan[i], rows, bar)
+        while i < len(self.plan) and self.plan[i][0] <= self.ceiling:
+            weight, k, _ = self.plan[i]
+            if k == 0:
+                blocks, i = [(weight, [()])], i + 1
             else:
-                while j < len(plan) and plan[j][1] == k and plan[j][0] <= self.ceiling:
-                    size += self._size(plan[j][2])
-                    if size > rows:
-                        break
-                    j += 1
-                blocks = self._batch(plan[i:j], rows, bar)
+                batch = self.batches.get(i) or self._batch(i)
+                blocks = self._stream(self.plan[i], bar) if batch is None else self._visit(batch, bar)
+                i = i + 1 if batch is None else batch.end
             for weight, survivors in blocks:
                 if weight > self.ceiling:
                     return
                 yield weight, survivors
-            i = j
 
     @functools.cached_property
     def _singles(self):
-        """The state of every one-atom support: the step from the empty
+        """Every one-atom support's basis and flag: the step from the empty
         support, taken for all atoms at once."""
-        independent = self.norms2 > self.floor  # the atom is neither zero nor overflowing
-        q = self.atoms * (independent / np.sqrt(self.norms2))[:, None]
-        return q[:, None], self.target - q * (q.conj() @ self.target)[:, None], independent
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._step(*self._parent_geometry((), len(self.atoms)), np.arange(len(self.atoms)))
+
+    def _rows_per_block(self, k: int) -> int:
+        return max(1, _SCREEN_ENTRIES // (self.d * (k + 1)))
 
     def _size(self, count_vectors) -> int:
         return sum(math.prod(map(math.comb, map(len, self.members), cv)) for cv in count_vectors)
 
-    def _batch(self, levels, rows: int, bar: float):
-        """Build levels of one cardinality, together at most ``rows`` supports,
-        as one block, and keep them for their children while they fit."""
-        k = levels[0][1]
-        if k == 0:
-            yield levels[0][0], [()]
-            return
-        screened = self.atoms is not None and k < self.d
-        cvs = [cv for level in levels for cv in level[2]]
+    def _screened(self, k: int) -> bool:
+        return self.atoms is not None and k < self.d
+
+    def _batch(self, i: int) -> _Batch | None:
+        """Build the batch of levels from plan number i on, and keep it while
+        it fits; None when level i must be streamed instead."""
+        k = self.plan[i][1]
+        rows = self._rows_per_block(k)
+        j, size = i, 0
+        while j < len(self.plan) and self.plan[j][1] == k and (j == i or self.plan[j][0] <= self.ceiling):
+            size += self._size(self.plan[j][2])
+            if size > rows:
+                break
+            j += 1
+        cvs = [cv for level in self.plan[i:j] for cv in level[2]]
         groups = _groups(cvs)
-        parts = [(s, st, c) for j, pcv, c in groups for s, st in self._children(j, pcv, rows, screened and k > 1)]
-        supports, state, _ = parts[0]
-        if len(parts) > 1:
-            supports = np.concatenate([p[0] for p in parts])
-            states = [p[1] for p in parts]
-            state = None if None in states else tuple(map(np.concatenate, zip(*states)))
-        found, keep = supports, None
-        if screened:
-            state, keep = self._screen_block(supports, state, bar)
+        if j == i or any(any(pcv) and pcv not in self.kept for _, pcv, _ in groups):
+            return None
+        parts = [(s, source, c) for g, pcv, c in groups for s, source in self._children(g, pcv, rows)]
+        supports = np.concatenate([p[0] for p in parts]) if len(parts) > 1 else parts[0][0]
+        lengths = [len(p[0]) for p in parts]
+        level = None
+        if len(groups) > 1:
+            level_of_cv = [i + n for n, level in enumerate(self.plan[i:j]) for _ in level[2]]
+            level = np.repeat([level_of_cv[p[2]] for p in parts], lengths)
+        basis = independent = None
+        if self._screened(k) and k == 1:
+            basis, independent = (a[supports[:, 0]] for a in self._singles)
+        elif self._screened(k):
+            geometry = [self._parent_geometry(source, n) for (_, source, _), n in zip(parts, lengths)]
+            basis, independent = (np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*geometry))
+            with np.errstate(over="ignore", invalid="ignore"):
+                basis, independent = self._step(basis, independent, supports[:, -1])
+        batch = _Batch(i, j, supports, [(p[1], n) for p, n in zip(parts, lengths)], level, basis, independent)
+        size = supports.size + (0 if basis is None else basis.size + independent.size + len(supports) * self.d)
+        if size <= self.room:
+            self.room -= size
+            batch.kept, self.batches[i], start = True, batch, 0
+            counts = [0] * len(cvs)
+            for (_, _, c), n in zip(parts, lengths):
+                counts[c] += n
+            for cv, n in zip(cvs, counts):
+                self.kept[cv] = (batch, start, start + n)
+                start += n
+        return batch
+
+    def _visit(self, batch: _Batch, bar: float):
+        """This walk's survivors of a batch, by level, and its residuals."""
+        supports, found, keep = batch.supports, batch.supports, None
+        if batch.basis is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pieces = [self._parent_residual(source, n) for source, n in batch.parts]
+                residual = np.concatenate(pieces) if supports.shape[1] > 1 and len(pieces) > 1 else pieces[0]
+                residual = _project(residual, batch.basis[:, -1])
+                keep = ~(self._bounds(supports, residual, batch.independent) > bar)
+            if batch.kept:
+                self.residuals[batch] = residual
             found = supports[keep]
-        self._keep(cvs, [(len(p[0]), p[2]) for p in parts], supports, state if screened and k + 1 < self.d else None)
-        if len(groups) == 1:
-            yield levels[0][0], list(map(tuple, found.tolist()))
+        if batch.level is None:
+            yield self.plan[batch.start][0], list(map(tuple, found.tolist()))
             return
-        # several groups: order the survivors by level, then lexicographically
-        level_of_cv = [i for i, level in enumerate(levels) for _ in level[2]]
-        level = np.repeat([level_of_cv[p[2]] for p in parts], [len(p[0]) for p in parts])
-        if keep is not None:
-            level = level[keep]
+        # several groups: the survivors by level, then in lexicographic order
+        level = batch.level if keep is None else batch.level[keep]
         order = np.lexsort((*found.T[::-1], level))
-        for i, rows_of_level in itertools.groupby(zip(level[order].tolist(), found[order].tolist()), itemgetter(0)):
-            yield levels[i][0], [tuple(r) for _, r in rows_of_level]
+        for i, rows in itertools.groupby(zip(level[order].tolist(), found[order].tolist()), itemgetter(0)):
+            yield self.plan[i][0], [tuple(r) for _, r in rows]
 
-    def _keep(self, cvs, lengths, supports, state):
-        """Keep a batch for its children while it fits; the rows of one count
-        vector are contiguous, as its groups are."""
-        size = supports.size + (0 if state is None else sum(a.size for a in state))
-        if size > self.room:
-            return
-        self.room -= size
-        counts = [0] * len(cvs)
-        for length, c in lengths:
-            counts[c] += length
-        start = 0
-        for cv, count in zip(cvs, counts):
-            self.kept[cv] = (supports, state, start, start + count)
-            start += count
-
-    def _stream(self, level, rows: int, bar: float):
-        """Build one level larger than a block, block by block, keeping none of it."""
+    def _stream(self, level, bar: float):
+        """One level, block by block, keeping none of it."""
         weight, k, cvs = level
-        screened = self.atoms is not None and k < self.d
-        for supports, state in self._rows(cvs, rows, screened and k > 1):
+        screened = self._screened(k)
+        for supports, state in self._rows(cvs, self._rows_per_block(k), screened):
             if screened:
-                supports = supports[self._screen_block(supports, state, bar)[1]]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    supports = supports[self._screen_rows(supports, state, bar)]
             yield weight, list(map(tuple, supports.tolist()))
 
     def _rows(self, count_vectors, rows: int, with_state: bool):
@@ -393,64 +442,83 @@ class _Tree:
         ``rows`` supports with one of the count vectors, in lexicographic order."""
         groups = _groups(count_vectors)
         if len(groups) == 1:
-            yield from self._children(*groups[0][:2], rows, with_state)
+            for supports, source in self._children(*groups[0][:2], rows):
+                yield supports, self._parent_state(source, len(supports)) if with_state else None
             return
-        supports = np.concatenate([s for j, pcv, _ in groups for s, _ in self._children(j, pcv, rows, False)])
+        supports = np.concatenate([s for j, pcv, _ in groups for s, _ in self._children(j, pcv, rows)])
         supports = supports[np.lexsort(supports.T[::-1])]
         for lo in range(0, len(supports), rows):
             yield supports[lo : lo + rows], None
 
-    def _children(self, j: int, pcv: tuple, rows: int, with_state: bool):
-        """(supports, their parents' states or None) blocks of the children
-        of the supports with count vector ``pcv`` through class j."""
+    def _children(self, j: int, pcv: tuple, rows: int):
+        """(supports, where their parents are) blocks of the children of the
+        supports with count vector ``pcv`` through class j: ``()`` for the
+        empty support, (batch, rows) for a kept batch, None otherwise."""
         members = self.members[j]
-        if not any(pcv):  # the root's children: the class's members
+        if not any(pcv):
             for lo in range(0, members.size, rows):
-                yield members[lo : lo + rows, None], None
+                yield members[lo : lo + rows, None], ()
             return
         if pcv in self.kept:
-            supports, state, start, stop = self.kept[pcv]
-            sources = [(supports, state if with_state else None, start, stop)]
+            batch, start, stop = self.kept[pcv]
+            sources = [(batch.supports, batch, start, stop)]
         else:
             sources = ((s, None, 0, len(s)) for s, _ in self._rows([pcv], rows, False))
         step = max(1, rows // members.size)
-        for supports, state, start, stop in sources:
+        for supports, batch, start, stop in sources:
             last = supports[start:stop, -1:]
             for lo in range(0, stop - start, step):
                 p, col = np.nonzero(members > last[lo : lo + step])
                 p += start + lo
                 children = np.concatenate((supports[p], members[col, None]), axis=1)
-                yield children, None if state is None else (state[0][p], state[1][p], state[2][p])
+                yield children, None if batch is None else (batch, p)
 
-    def _screen_block(self, supports, state, bar: float):
-        """The supports' states, from their parents' states (or rebuilt when
-        those are None), and which supports the screen keeps under ``bar``."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            if supports.shape[1] == 1:
-                state = tuple(a[supports[:, 0]] for a in self._singles)
-            else:
-                state = self._extend(*(state or self._grow(supports[:, :-1])), supports[:, -1])
-            return state, ~(self._bounds(supports, *state[1:]) > bar)
+    def _parent_geometry(self, source, n: int):
+        if source == ():
+            return np.zeros((n, 0, self.d), self.atoms.dtype), np.ones(n, dtype=bool)
+        batch, p = source
+        return batch.basis[p], batch.independent[p]
+
+    def _parent_residual(self, source, n: int):
+        if source == ():
+            return self.target[None]  # broadcast over the n rows
+        batch, p = source
+        return self.residuals[batch][p]
+
+    def _parent_state(self, source, n: int):
+        """The parents' (basis, residual, flag) in this walk, or None when
+        they were not kept."""
+        if source is None:
+            return None
+        basis, independent = self._parent_geometry(source, n)
+        return basis, self._parent_residual(source, n), independent
+
+    def _screen_rows(self, supports, state, bar: float):
+        """Which supports the screen keeps, from their parents' states, which
+        are rebuilt from the distinct prefixes when None."""
+        basis, residual, independent = state or self._grow(supports[:, :-1])
+        basis, independent = self._step(basis, independent, supports[:, -1])
+        return ~(self._bounds(supports, _project(residual, basis[:, -1]), independent) > bar)
 
     def _grow(self, supports):
         """States of any supports, each built atom by atom once per distinct support."""
         distinct, inverse = np.unique(supports, axis=0, return_inverse=True)
-        state = tuple(np.repeat(a, len(distinct), axis=0) for a in self.empty)
+        basis, residual, independent = self._parent_state((), len(distinct))
         for atoms in distinct.T:
-            state = self._extend(*state, atoms)
-        return tuple(a[inverse] for a in state)
+            basis, independent = self._step(basis, independent, atoms)
+            residual = _project(residual, basis[:, -1])
+        return basis[inverse], residual[inverse], independent[inverse]
 
-    def _extend(self, basis, residual, independent, atoms):
-        """One modified Gram-Schmidt step: every row's state extended by one atom."""
+    def _step(self, basis, independent, atoms):
+        """One modified Gram-Schmidt step: every row's basis extended by one atom."""
         v = self.atoms[atoms]
         for i in range(basis.shape[1]):
             q = basis[:, i]
-            v -= q * np.einsum("ij,ij->i", q.conj(), v)[:, None]
+            v -= q * _rowdot(q, v)[:, None]
         off = _squared_norms(v)
         independent = independent & (off > self.floor[atoms])
         q = v * (independent / np.sqrt(off))[:, None]  # NaN only on degenerate rows
-        residual = residual - q * np.einsum("ij,ij->i", q.conj(), residual)[:, None]
-        return np.concatenate((basis, q[:, None]), axis=1), residual, independent
+        return np.concatenate((basis, q[:, None]), axis=1), independent
 
     def _bounds(self, supports, residual, independent):
         """Lower bounds on the least-squares residuals: the residual's norm,
@@ -467,12 +535,6 @@ class _Tree:
         return bound
 
 
-def _groups(count_vectors):
-    """(class j, parent count vector, count vector number) for every class
-    that a support of one of the count vectors can have its last atom in."""
-    return [(j, cv[:j] + (c - 1,) + cv[j + 1 :], i) for i, cv in enumerate(count_vectors) for j, c in enumerate(cv) if c]
-
-
 def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
     """The supports (all of one cardinality k) whose fit may reach the tolerance.
 
@@ -484,7 +546,10 @@ def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) ->
     if k == 0 or k >= cols.shape[0]:
         # with k >= d the columns may span the whole space: nothing could be dropped
         return supports
-    keep = _Tree([], cols, target)._screen_block(np.array(supports, dtype=np.intp), None, bar)[1]
+    tree = _Tree([], [], cols)
+    tree.target = target
+    with np.errstate(over="ignore", invalid="ignore"):
+        keep = tree._screen_rows(np.array(supports, dtype=np.intp), None, bar)
     return [s for s, kept in zip(supports, keep.tolist()) if kept]
 
 
@@ -492,18 +557,20 @@ def _walk(problem: SparseProblem, members: list[np.ndarray], plan) -> SparseSolu
     """Shared exhaustive search of both solvers and every probe trial.
 
     Visits the levels of a ``_weight_plan`` in order, building each one
-    from its parents in a ``_Tree`` when it is reached.  The search stops
-    after the last level of the first weight that has a fit; ``unique`` is
-    true when no second support of that weight also fits.  Every support
-    the screen keeps is decided, in order, by the exact ``_restricted_fit``.
+    from its parents in a ``_Tree`` when it is reached; ``plan`` may be such
+    a tree, built over the problem's frame, to share its bases between
+    walks.  The search stops after the last level of the first weight that
+    has a fit; ``unique`` is true when no second support of that weight also
+    fits.  Every support the screen keeps is decided, in order, by the exact
+    ``_restricted_fit``.
     """
     frame, target = problem.frame, problem.target
     tol = problem.resolved_tolerance()
     bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))
     cols = _synthesis_columns(frame)
-    tree = _Tree(members, cols, target)
+    tree = plan if isinstance(plan, _Tree) else _Tree(members, plan, cols)
     first = None
-    for objective, survivors in tree.levels(plan, bar):
+    for objective, survivors in tree.levels(target, bar):
         for support in survivors:
             coeff, residual = _restricted_fit(cols, support, target)
             if residual <= tol:
@@ -598,9 +665,8 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
 def _planted_pool(members: list[np.ndarray], plan, threshold: float) -> list[tuple[int, ...]]:
     """The plan's nonempty supports of total weight below ``threshold``, by
     cardinality then lexicographic order."""
-    tree = _Tree(members)
-    tree.ceiling = math.nextafter(threshold, -math.inf)
-    light = [s for _, block in tree.levels(plan) for s in block if s]
+    levels = _Tree(members, plan).levels(ceiling=math.nextafter(threshold, -math.inf))
+    light = [s for _, block in levels for s in block if s]
     return sorted(light, key=lambda s: (len(s), s))
 
 
@@ -637,13 +703,15 @@ def conjecture_probe(
     thr_all = uniqueness_threshold(coh_all)
     thr_distinct = uniqueness_threshold(coh_distinct)
     pool = _planted_pool(members, plan, thr_all)
+    # one tree for every trial's walk: its bases do not depend on the target
+    tree = _Tree(members, plan, _synthesis_columns(frame))
     records = []
     for t in range(trials if pool else 0):
         support = pool[int(rng.integers(len(pool)))]
         values = np.zeros(n, dtype=frame.vectors.dtype)
         values[list(support)] = _standard_normal(rng, len(support), frame.field)
         target = synthesis(frame, CoefficientFunction(frame.space, values))
-        solution = _walk(SparseProblem(frame, target, eps_residual), members, plan)
+        solution = _walk(SparseProblem(frame, target, eps_residual), members, tree)
         weight = math.fsum(w[list(support)].tolist())
         records.append({
             "trial": t,

@@ -662,7 +662,8 @@ def test_probe_support_pool_matches_frozen_list(name):
 def test_tree_levels_hold_each_level_in_sorted_order(classes, d, seed):
     # Each level the walk visits holds exactly the supports of its (weight,
     # cardinality), in sorted order (the order of a sorted list of tuples),
-    # with and without screen state, kept or rebuilt parents, one or many blocks.
+    # with and without screen state, kept or rebuilt parents, one or many
+    # blocks, and again on a second walk of the same tree.
     n = len(classes)
     weights = np.array([0.3, 0.7, 1.1])[classes]
     rng = np.random.default_rng(seed)
@@ -681,10 +682,11 @@ def test_tree_levels_hold_each_level_in_sorted_order(classes, d, seed):
         for entries in (sparse._SCREEN_ENTRIES, 32):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sparse, "_SCREEN_ENTRIES", entries)
-                for tree in (sparse._Tree(members), sparse._Tree(members, cols, target)):
-                    blocks = list(tree.levels(plan))
-                    assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
-                    assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
+                for tree in (sparse._Tree(members, plan), sparse._Tree(members, plan, cols)):
+                    for _ in range(2):
+                        blocks = list(tree.levels(target))
+                        assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
+                        assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
