@@ -303,7 +303,8 @@ class _Tree:
     serve every later walk of the tree (the probe's trials share one tree).
 
     A block holds at most ``_SCREEN_ENTRIES`` entries of state, and so do the
-    batches kept for their children, with one walk's residuals.  A level
+    batches kept for their children, with one walk's residuals; the one-atom
+    bases of all atoms take about the frame's own entries.  A level
     larger than one block, or with a parent that was not kept, is streamed
     and not kept: its supports are enumerated again from their own parents,
     and each block of them rebuilds its parents' states from its distinct
@@ -316,11 +317,12 @@ class _Tree:
         self.atoms = None
         if cols is not None:
             self.atoms = np.ascontiguousarray(cols.T)
+            with np.errstate(over="ignore"):
+                self.norms2 = _squared_norms(self.atoms)
             # 1%, squared: while each new atom keeps more of its norm off the
             # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
             # bound it replaces, the accuracy to which that bound is pinned
-            with np.errstate(over="ignore"):
-                self.floor = 1e-4 * _squared_norms(self.atoms)
+            self.floor = 1e-4 * self.norms2
         self.batches: dict[int, _Batch] = {}  # kept batches by the plan number of their first level
         self.kept: dict[tuple, tuple] = {}  # count vector -> (its kept batch, first row, end row)
         self.room = _SCREEN_ENTRIES
@@ -351,8 +353,9 @@ class _Tree:
     def _singles(self):
         """Every one-atom support's basis and flag: the step from the empty
         support, taken for all atoms at once."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._step(*self._parent_geometry((), len(self.atoms)), np.arange(len(self.atoms)))
+        independent = self.norms2 > self.floor
+        with np.errstate(invalid="ignore"):
+            return (self.atoms * (independent / np.sqrt(self.norms2))[:, None])[:, None], independent
 
     def _rows_per_block(self, k: int) -> int:
         return max(1, _SCREEN_ENTRIES // (self.d * (k + 1)))
@@ -387,7 +390,9 @@ class _Tree:
             level = np.repeat([level_of_cv[p[2]] for p in parts], lengths)
         basis = independent = None
         if self._screened(k) and k == 1:
-            basis, independent = (a[supports[:, 0]] for a in self._singles)
+            basis, independent = self._singles
+            if len(supports) < len(self.atoms) or len(groups) > 1:  # else the rows are atoms 0..n-1
+                basis, independent = basis[supports[:, 0]], independent[supports[:, 0]]
         elif self._screened(k):
             geometry = [self._parent_geometry(source, n) for (_, source, _), n in zip(parts, lengths)]
             basis, independent = (np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*geometry))
@@ -411,8 +416,11 @@ class _Tree:
         supports, found, keep = batch.supports, batch.supports, None
         if batch.basis is not None:
             with np.errstate(over="ignore", invalid="ignore"):
-                pieces = [self._parent_residual(source, n) for source, n in batch.parts]
-                residual = np.concatenate(pieces) if supports.shape[1] > 1 and len(pieces) > 1 else pieces[0]
+                if supports.shape[1] == 1:  # every parent is the empty support
+                    residual = self.target[None]
+                else:
+                    pieces = [self.residuals[parents][p] for (parents, p), _ in batch.parts]
+                    residual = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
                 residual = _project(residual, batch.basis[:, -1])
                 keep = ~(self._bounds(supports, residual, batch.independent) > bar)
             if batch.kept:
@@ -479,19 +487,13 @@ class _Tree:
         batch, p = source
         return batch.basis[p], batch.independent[p]
 
-    def _parent_residual(self, source, n: int):
-        if source == ():
-            return self.target[None]  # broadcast over the n rows
-        batch, p = source
-        return self.residuals[batch][p]
-
     def _parent_state(self, source, n: int):
         """The parents' (basis, residual, flag) in this walk, or None when
-        they were not kept."""
+        they were not kept; the empty support's residual is the target."""
         if source is None:
             return None
         basis, independent = self._parent_geometry(source, n)
-        return basis, self._parent_residual(source, n), independent
+        return basis, self.target[None] if source == () else self.residuals[source[0]][source[1]], independent
 
     def _screen_rows(self, supports, state, bar: float):
         """Which supports the screen keeps, from their parents' states, which
