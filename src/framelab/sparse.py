@@ -527,13 +527,14 @@ class _Tree:
         and on degenerate rows |R[k, k]| of one stacked raw QR of [A_S | t]."""
         bound = np.sqrt(_squared_norms(residual))
         if not independent.all():
-            rows = supports[~independent]
+            degenerate = ~independent
+            rows = supports[degenerate]
             k = rows.shape[1]
             # (k + 1, d) blocks, so the transpose hands LAPACK column-major [A_S | t]
             stacked = np.empty((len(rows), k + 1, self.d), dtype=self.atoms.dtype)
             stacked[:, :k] = self.atoms[rows]
             stacked[:, k] = self.target
-            bound[~independent] = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="raw")[0][:, k, k])
+            bound[degenerate] = np.abs(np.linalg.qr(stacked.transpose(0, 2, 1), mode="raw")[0][:, k, k])
         return bound
 
 
