@@ -49,7 +49,7 @@ from .frames import (
 ENUMERATION_GUARD = 10_000_000
 
 # Most entries of screen state in one block of supports, and in all the
-# levels one walk keeps for their children.
+# batches one tree keeps for their children with one walk's residuals.
 _SCREEN_ENTRIES = 1 << 20
 
 # Most trials one probe may run.  A trial took 0.2-0.6 ms (2 CPUs) and
@@ -307,8 +307,8 @@ class _Tree:
     bases of all atoms take about the frame's own entries.  A level
     larger than one block, or with a parent that was not kept, is streamed
     and not kept: its supports are enumerated again from their own parents,
-    and each block of them rebuilds its parents' states from its distinct
-    prefixes.  One walk runs at a time.
+    and each block of them rebuilds its parents' states, once per distinct
+    prefix.  One walk runs at a time.
     """
 
     def __init__(self, members: list[np.ndarray], plan, cols: np.ndarray | None = None):
@@ -503,8 +503,11 @@ class _Tree:
         return ~(self._bounds(supports, _project(residual, basis[:, -1]), independent) > bar)
 
     def _grow(self, supports):
-        """States of any supports, each built atom by atom once per distinct support."""
-        distinct, inverse = np.unique(supports, axis=0, return_inverse=True)
+        """States of any supports, each built atom by atom once per run of
+        equal supports; a block's supports are in lexicographic order."""
+        head = np.ones(len(supports), dtype=bool)
+        head[1:] = (supports[1:] != supports[:-1]).any(axis=1)
+        distinct, inverse = supports[head], np.cumsum(head) - 1
         basis, residual, independent = self._parent_state((), len(distinct))
         for atoms in distinct.T:
             basis, independent = self._step(basis, independent, atoms)
@@ -541,8 +544,8 @@ class _Tree:
 def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
     """The supports (all of one cardinality k) whose fit may reach the tolerance.
 
-    Each support's state is built from scratch through its distinct prefix,
-    as in a ``_Tree`` block whose parents were not kept, and a support is
+    Each support's state is built from scratch through its prefix, as in a
+    ``_Tree`` block whose parents were not kept, and a support is
     dropped only when its bound exceeds ``bar``, well above the tolerance.
     """
     k = len(supports[0])

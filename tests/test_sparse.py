@@ -679,14 +679,15 @@ def test_tree_levels_hold_each_level_in_sorted_order(classes, d, seed):
             for s in itertools.combinations(range(n), k):
                 levels.setdefault((math.fsum(weights[list(s)].tolist()), k), []).append(s)
         expected = [s for weight, k, _ in plan for s in sorted(levels[weight, k])]
-        for entries in (sparse._SCREEN_ENTRIES, 32):
+        # at 256 entries a block holds 256 // (d (k + 1)) supports and few levels are kept
+        for entries in (sparse._SCREEN_ENTRIES, 256):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sparse, "_SCREEN_ENTRIES", entries)
-                for tree in (sparse._Tree(members, plan), sparse._Tree(members, plan, cols)):
-                    for _ in range(2):
-                        blocks = list(tree.levels(target))
-                        assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
-                        assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
+                screened = sparse._Tree(members, plan, cols)
+                for tree in (sparse._Tree(members, plan), screened, screened):
+                    blocks = list(tree.levels(target))
+                    assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
+                    assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
