@@ -11,12 +11,12 @@ and ``l0_brute_force`` their number, which is the same search over unit
 weights.  Both walk one plan of support levels by (weight, cardinality),
 built over the classes of equal atom weight, so no table of all 2^n
 supports is built; one guard on the support count refuses a plan before
-any of it is built.  Each level is built from its parent levels in one
-enumeration tree (``_Tree``): a support is its parent, the support minus
-its last atom, plus that atom, and one Gram-Schmidt step per level extends
-every parent's orthonormal basis and target residual by the new atom.  The
-residual's norm screens the supports, and the exact per-support
-least-squares fit makes every decision.
+any of it is built.  A level is read from its cardinality layer in one
+enumeration tree (``_Tree``): layer k holds every k-atom support and is
+built from layer k - 1, a support being its parent (the support minus its
+last atom) plus that atom; one Gram-Schmidt step per layer extends every
+parent's orthonormal basis and target residual by the new atom.  The
+residual's norm screens the supports; the exact fit makes every decision.
 ``conjecture_probe`` plans once, plants random low-weight supports and
 reports, never asserts, whether weight minimization recovers them uniquely;
 its totals and counterexamples are derived from its list of trial records.
@@ -24,11 +24,9 @@ its totals and counterexamples are derived from its list of trial records.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -209,8 +207,8 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     on how many atoms it takes from each class, and ``math.fsum`` is correctly
     rounded, so one ``fsum`` per count vector equals, bit for bit, the
     ``fsum`` over any support with those counts.  Returns the class members
-    (index arrays) and the sorted list of ``(weight, cardinality, [count
-    vectors])``.
+    (lists of atom indices) and the sorted list of ``(weight, cardinality,
+    [count vectors])``.
     """
     n = weights.size
     cap = n if max_card is None else int(max_card)
@@ -227,7 +225,7 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     classes: dict[float, list[int]] = {}
     for i, w in enumerate(weights.tolist()):
         classes.setdefault(w, []).append(i)
-    members = [np.array(m, dtype=np.intp) for m in classes.values()]
+    members = list(classes.values())
     # (count vector, summands) rows in itertools.product order, none above cap
     rows = [((), ())]
     for v, m in zip(classes, members):
@@ -239,8 +237,12 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
     return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
 
 
+def _einsum_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("...j,...j->...", a.conj(), b)
+
+
 # conj(a) . b along the last axis, broadcasting; np.vecdot needs numpy 2
-_rowdot = getattr(np, "vecdot", lambda a, b: np.einsum("...j,...j->...", a.conj(), b))
+_rowdot = getattr(np, "vecdot", _einsum_rowdot)
 
 
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
@@ -253,266 +255,191 @@ def _project(residual: np.ndarray, q: np.ndarray) -> np.ndarray:
     return residual - q * _rowdot(q, residual)[:, None]
 
 
-def _groups(count_vectors):
-    """(class j, parent count vector, count vector number) for every class
-    that a support of one of the count vectors can have its last atom in."""
-    return [(j, cv[:j] + (c - 1,) + cv[j + 1 :], i) for i, cv in enumerate(count_vectors) for j, c in enumerate(cv) if c]
+def _expand(members: list[list[int]], count_vectors, rows: int):
+    """The supports taking ``cv[j]`` atoms from class j, for any of the given
+    count vectors (all of one cardinality k > 0), in lexicographic order, as
+    index arrays of at most ``rows`` supports.  A level drawn from one class
+    streams that class's combinations, which are already in order; any other
+    level is built whole as one index array and sorted."""
+    drawn = [[(m, c) for m, c in zip(members, cv) if c] for cv in count_vectors]
+    k = sum(count_vectors[0])
+    if len(drawn) == 1 and len(drawn[0]) == 1:
+        atoms = itertools.chain.from_iterable(itertools.combinations(*drawn[0][0]))
+        while (block := np.fromiter(itertools.islice(atoms, rows * k), np.intp)).size:
+            yield block.reshape(-1, k)
+        return
+    size = sum(math.prod(math.comb(len(m), c) for m, c in pairs) for pairs in drawn)
+    picks = (
+        sorted(itertools.chain.from_iterable(parts))
+        for pairs in drawn
+        for parts in itertools.product(*(itertools.combinations(m, c) for m, c in pairs))
+    )
+    supports = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size * k).reshape(size, k)
+    order = np.lexsort(supports.T[::-1])
+    for lo in range(0, size, rows):
+        yield supports[order[lo : lo + rows]]
 
 
 @dataclass(eq=False)
-class _Batch:
-    """Plan levels ``start`` to ``end`` (exclusive), all of one cardinality,
-    built together.  The rows of one count vector are contiguous.  ``parts``
-    holds, per run of rows, where their parents are: ``()`` for the empty
-    support, else the parents' batch and rows.  ``level`` is each row's plan
-    number when the batch draws through several groups; with a screen,
-    ``basis`` and ``independent`` are each row's orthonormal basis and flag."""
+class _Layer:
+    """Every k-atom support in lexicographic order, with each row's parent row
+    in layer k - 1, its count-vector number (with several classes), the rows
+    of each plan level, and below d atoms its orthonormal basis and flag."""
 
-    start: int
-    end: int
     supports: np.ndarray
-    parts: list
-    level: np.ndarray | None
+    parent: np.ndarray | None
+    label: np.ndarray
+    rows: dict
     basis: np.ndarray | None
     independent: np.ndarray | None
-    kept: bool = False
 
 
 class _Tree:
-    """The levels of one ``_weight_plan``, each built from its parent levels.
+    """The levels of one ``_weight_plan``, read from cardinality layers.
 
-    A support's parent is the support minus its last atom.  When that atom
-    lies in class j, the parent has the count vector c - e_j and sits on an
-    earlier level, and the support is one of the parent's children through
-    class j: the parent plus one class-j atom past its last atom.  Children
-    of parents in lexicographic order come out in lexicographic order, so
-    ``np.lexsort`` runs only where a batch draws through several (count
-    vector, class) groups.  Consecutive levels of one cardinality are built
-    as one batch while they fit in one block.
+    Layer k is every k-atom support in lexicographic order.  A support's
+    parent is the support minus its last atom, so layer k is built from
+    layer k - 1 in one step: each parent extended by every atom past its
+    last one, which keeps lexicographic order.  Each row carries the number
+    of its count vector, so a plan level is the rows of its layer with its
+    count vectors, and a stable sort by level keeps them in order.
 
-    With ``cols``, every support of 0 < k < d atoms has an orthonormal basis
-    of its columns and a flag that is false on degenerate rows, and each walk
-    carries the target's residual off that basis.  One modified Gram-Schmidt
-    step extends a parent's basis by the new atom, and the residual's norm
-    bounds the support's least-squares residual from below; Gram-Schmidt on
-    [A | t] gives a backward-stable least-squares residual (Bjorck 1967).  A
-    row is degenerate when its new atom keeps less than 1% of its norm off
-    the parent's span, as a split copy or a zero atom does; its bound, and
-    that of every descendant, is |R[k, k]| of one stacked raw QR of [A_S | t].
-    The bases do not depend on the target, so the batches kept by one walk
-    serve every later walk of the tree (the probe's trials share one tree).
+    Every support of 0 < k < d atoms has an orthonormal basis of its columns
+    and a flag that is false on degenerate rows, and each walk carries the
+    target's residual off that basis, one layer at a time.  One modified
+    Gram-Schmidt step extends a parent's basis by the new atom, and the
+    residual's norm bounds the support's least-squares residual from below;
+    Gram-Schmidt on [A | t] gives a backward-stable least-squares residual
+    (Bjorck 1967).  A row is degenerate when its new atom keeps less than 1%
+    of its norm off the parent's span, as a split copy or a zero atom does;
+    its bound, and that of every descendant, is |R[k, k]| of one stacked raw
+    QR of [A_S | t], taken once per layer and walk.  The bases do not depend
+    on the target, so the layers serve every walk of the tree (the probe's
+    trials share one tree).
 
-    A block holds at most ``_SCREEN_ENTRIES`` entries of state, and so do the
-    batches kept for their children, with one walk's residuals; the one-atom
-    bases of all atoms take about the frame's own entries.  A level
-    larger than one block, or with a parent that was not kept, is streamed
-    and not kept: its supports are enumerated again from their own parents,
-    and each block of them rebuilds its parents' states, once per distinct
-    prefix.  One walk runs at a time.
+    Layers are built in order of k while they fit, with one walk's
+    residuals, in ``_SCREEN_ENTRIES`` entries of state (on a tree's first
+    walk, only until the walk has a fit).  A level above the last layer K is
+    enumerated by ``_expand`` in blocks of at most as many entries of state;
+    each support's state starts from its K-atom prefix's row and is extended
+    one atom at a time.  One walk runs at a time; without ``cols`` (d = 0)
+    nothing is screened.
     """
 
-    def __init__(self, members: list[np.ndarray], plan, cols: np.ndarray | None = None):
-        self.members, self.plan = members, plan
-        self.d = 1 if cols is None else cols.shape[0]
-        self.atoms = None
-        if cols is not None:
-            self.atoms = np.ascontiguousarray(cols.T)
-            with np.errstate(over="ignore"):
-                self.norms2 = _squared_norms(self.atoms)
-            # 1%, squared: while each new atom keeps more of its norm off the
-            # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
-            # bound it replaces, the accuracy to which that bound is pinned
-            self.floor = 1e-4 * self.norms2
-        self.batches: dict[int, _Batch] = {}  # kept batches by the plan number of their first level
-        self.kept: dict[tuple, tuple] = {}  # count vector -> (its kept batch, first row, end row)
+    def __init__(self, members: list[list[int]], plan, cols: np.ndarray = np.zeros((0, 0))):
+        self.members, self.plan, self.d = members, plan, cols.shape[0]
+        self.class_of = np.zeros(sum(map(len, members)), dtype=np.intp)
+        for j, m in enumerate(members):
+            self.class_of[m] = j
+        # count vector -> plan number, by cardinality; a row's label is its
+        # count vector's place in its cardinality's dict
+        self.count_vectors: dict[int, dict] = {}
+        for i, (_, k, cvs) in enumerate(plan):
+            for cv in cvs:
+                self.count_vectors.setdefault(k, {})[cv] = i
+        self.atoms = np.ascontiguousarray(cols.T)
+        # 1%, squared: while each new atom keeps more of its norm off the
+        # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
+        # bound it replaces, the accuracy to which that bound is pinned
+        with np.errstate(over="ignore"):
+            self.floor = 1e-4 * _squared_norms(self.atoms)
+        empty = np.zeros((1, 0), dtype=np.intp)
+        basis = np.zeros((1, 0, self.d), self.atoms.dtype)
+        self.layers = [_Layer(empty, None, np.zeros(1, np.intp), {0: slice(None)}, basis, np.ones(1, dtype=bool))]
         self.room = _SCREEN_ENTRIES
-        self.target, self.ceiling, self.residuals = None, math.inf, {}
+        self.target, self.ceiling, self.screens, self.walks = None, math.inf, {}, 0
 
-    def levels(self, target: np.ndarray | None = None, bar: float = math.inf, ceiling: float = math.inf):
+    def levels(self, target: np.ndarray, bar: float = math.inf):
         """One walk: (weight, supports as a list of tuples) per block of the
         plan's levels, in plan order and lexicographic order within a level,
-        up to the first level heavier than ``ceiling``, which the caller may
-        lower at any time.  With ``cols``, a level of 0 < k < d atoms keeps
-        only the supports whose bound for ``target`` is not above ``bar``."""
-        self.target, self.ceiling, self.residuals = target, ceiling, {}
-        i = 0
-        while i < len(self.plan) and self.plan[i][0] <= self.ceiling:
-            weight, k, _ = self.plan[i]
-            if k == 0:
-                blocks, i = [(weight, [()])], i + 1
-            else:
-                batch = self.batches.get(i) or self._batch(i)
-                blocks = self._stream(self.plan[i], bar) if batch is None else self._visit(batch, bar)
-                i = i + 1 if batch is None else batch.end
-            for weight, survivors in blocks:
-                if weight > self.ceiling:
-                    return
-                yield weight, survivors
+        up to the first level heavier than ``self.ceiling``, which the caller
+        may lower from inf at any time.  A level of 0 < k < d atoms keeps only
+        the supports whose bound for ``target`` is not above ``bar``."""
+        # the empty support's residual is the target; it is not screened
+        self.target, self.ceiling, self.screens = target, math.inf, {0: (target[None], None)}
+        self.walks += 1
+        for i, (weight, k, cvs) in enumerate(self.plan):
+            if weight > self.ceiling:
+                return
+            if self._kept(k):
+                rows = self.layers[k].rows[i]
+                found = self.layers[k].supports[rows]
+                if 0 < k < self.d:
+                    found = found[~(self._screened(k)[1][rows] > bar)]
+                yield weight, list(map(tuple, found.tolist()))
+                continue
+            for supports in _expand(self.members, cvs, max(1, _SCREEN_ENTRIES // self._entries(k))):
+                if k < self.d:
+                    supports = supports[self._rebuilt(supports, bar)]
+                yield weight, list(map(tuple, supports.tolist()))
 
-    @functools.cached_property
-    def _singles(self):
-        """Every one-atom support's basis and flag: the step from the empty
-        support, taken for all atoms at once."""
-        independent = self.norms2 > self.floor
-        with np.errstate(invalid="ignore"):
-            return (self.atoms * (independent / np.sqrt(self.norms2))[:, None])[:, None], independent
+    def _entries(self, k: int) -> int:
+        """Entries of state per k-atom support: basis and residual below d atoms, else atoms."""
+        return self.d * (k + 1) if k < self.d else k
 
-    def _rows_per_block(self, k: int) -> int:
-        return max(1, _SCREEN_ENTRIES // (self.d * (k + 1)))
-
-    def _size(self, count_vectors) -> int:
-        return sum(math.prod(map(math.comb, map(len, self.members), cv)) for cv in count_vectors)
-
-    def _screened(self, k: int) -> bool:
-        return self.atoms is not None and k < self.d
-
-    def _batch(self, i: int) -> _Batch | None:
-        """Build the batch of levels from plan number i on, and keep it while
-        it fits; None when level i must be streamed instead."""
-        k = self.plan[i][1]
-        rows = self._rows_per_block(k)
-        j, size = i, 0
-        while j < len(self.plan) and self.plan[j][1] == k and (j == i or self.plan[j][0] <= self.ceiling):
-            size += self._size(self.plan[j][2])
-            if size > rows:
-                break
-            j += 1
-        cvs = [cv for level in self.plan[i:j] for cv in level[2]]
-        groups = _groups(cvs)
-        if j == i or any(any(pcv) and pcv not in self.kept for _, pcv, _ in groups):
-            return None
-        parts = [(s, source, c) for g, pcv, c in groups for s, source in self._children(g, pcv, rows)]
-        supports = np.concatenate([p[0] for p in parts]) if len(parts) > 1 else parts[0][0]
-        lengths = [len(p[0]) for p in parts]
-        level = None
-        if len(groups) > 1:
-            level_of_cv = [i + n for n, level in enumerate(self.plan[i:j]) for _ in level[2]]
-            level = np.repeat([level_of_cv[p[2]] for p in parts], lengths)
-        basis = independent = None
-        if self._screened(k) and k == 1:
-            basis, independent = self._singles
-            if len(supports) < len(self.atoms) or len(groups) > 1:  # else the rows are atoms 0..n-1
-                basis, independent = basis[supports[:, 0]], independent[supports[:, 0]]
-        elif self._screened(k):
-            geometry = [self._parent_geometry(source, n) for (_, source, _), n in zip(parts, lengths)]
-            basis, independent = (np.concatenate(a) if len(parts) > 1 else a[0] for a in zip(*geometry))
-            with np.errstate(over="ignore", invalid="ignore"):
-                basis, independent = self._step(basis, independent, supports[:, -1])
-        batch = _Batch(i, j, supports, [(p[1], n) for p, n in zip(parts, lengths)], level, basis, independent)
-        size = supports.size + (0 if basis is None else basis.size + independent.size + len(supports) * self.d)
-        if size <= self.room:
+    def _kept(self, k: int) -> bool:
+        """Whether layer k is kept.  Layers are built in order of k (a walk
+        reaches layer k - 1 first) while they fit in the room left; a first
+        walk that has its fit builds none, as the few levels of equal weight
+        left cost less to rebuild, unless later walks reuse the layer."""
+        size = math.comb(len(self.class_of), k) * self._entries(k)
+        if k == len(self.layers) and size <= self.room and (self.ceiling == math.inf or self.walks > 1):
             self.room -= size
-            batch.kept, self.batches[i], start = True, batch, 0
-            counts = [0] * len(cvs)
-            for (_, _, c), n in zip(parts, lengths):
-                counts[c] += n
-            for cv, n in zip(cvs, counts):
-                self.kept[cv] = (batch, start, start + n)
-                start += n
-        return batch
+            self.layers.append(self._layer(k))
+        return k < len(self.layers)
 
-    def _visit(self, batch: _Batch, bar: float):
-        """This walk's survivors of a batch, by level, and its residuals."""
-        supports, found, keep = batch.supports, batch.supports, None
-        if batch.basis is not None:
+    def _layer(self, k: int) -> _Layer:
+        """Layer k from layer k - 1, with one Gram-Schmidt step below d atoms."""
+        prev = self.layers[k - 1]
+        last = prev.supports[:, -1] if k > 1 else np.full(1, -1)
+        parent, atoms = np.nonzero(np.arange(len(self.class_of)) > last[:, None])
+        supports = np.concatenate((prev.supports[parent], atoms[:, None]), axis=1)
+        level_of = self.count_vectors[k]
+        label, ids = prev.label, sorted(set(level_of.values()))
+        if len(self.members) > 1:
+            number = dict(zip(self.count_vectors[k - 1], itertools.count()))
+            table = np.zeros((len(number), len(self.members)), dtype=np.intp)
+            for n, cv in enumerate(level_of):
+                for j, c in enumerate(cv):
+                    if c:
+                        table[number[cv[:j] + (c - 1,) + cv[j + 1 :]], j] = n
+            label = table[label[parent], self.class_of[atoms]]
+        rows = {ids[0]: slice(None)}
+        if len(ids) > 1:
+            level = np.array(list(level_of.values()))[label]
+            order = np.argsort(level, kind="stable")
+            ends = np.cumsum(np.bincount(level)[ids]).tolist()
+            rows = {i: order[start:end] for i, start, end in zip(ids, [0] + ends, ends)}
+        basis = independent = None
+        if k < self.d:
             with np.errstate(over="ignore", invalid="ignore"):
-                if supports.shape[1] == 1:  # every parent is the empty support
-                    residual = self.target[None]
-                else:
-                    pieces = [self.residuals[parents][p] for (parents, p), _ in batch.parts]
-                    residual = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
-                residual = _project(residual, batch.basis[:, -1])
-                keep = ~(self._bounds(supports, residual, batch.independent) > bar)
-            if batch.kept:
-                self.residuals[batch] = residual
-            found = supports[keep]
-        if batch.level is None:
-            yield self.plan[batch.start][0], list(map(tuple, found.tolist()))
-            return
-        # several groups: the survivors by level, then in lexicographic order
-        level = batch.level if keep is None else batch.level[keep]
-        order = np.lexsort((*found.T[::-1], level))
-        for i, rows in itertools.groupby(zip(level[order].tolist(), found[order].tolist()), itemgetter(0)):
-            yield self.plan[i][0], [tuple(r) for _, r in rows]
+                basis, independent = self._step(prev.basis[parent], prev.independent[parent], atoms)
+        return _Layer(supports, parent, label, rows, basis, independent)
 
-    def _stream(self, level, bar: float):
-        """One level, block by block, keeping none of it."""
-        weight, k, cvs = level
-        screened = self._screened(k)
-        for supports, state in self._rows(cvs, self._rows_per_block(k), screened):
-            if screened:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    supports = supports[self._screen_rows(supports, state, bar)]
-            yield weight, list(map(tuple, supports.tolist()))
+    def _screened(self, k: int):
+        """This walk's residuals of kept layer 0 < k < d and their bounds, once per walk."""
+        if k not in self.screens:
+            layer = self.layers[k]
+            with np.errstate(over="ignore", invalid="ignore"):
+                residual = _project(self._screened(k - 1)[0][layer.parent], layer.basis[:, -1])
+                self.screens[k] = residual, self._bounds(layer.supports, residual, layer.independent)
+        return self.screens[k]
 
-    def _rows(self, count_vectors, rows: int, with_state: bool):
-        """(supports, their parents' states or None) blocks of at most
-        ``rows`` supports with one of the count vectors, in lexicographic order."""
-        groups = _groups(count_vectors)
-        if len(groups) == 1:
-            for supports, source in self._children(*groups[0][:2], rows):
-                yield supports, self._parent_state(source, len(supports)) if with_state else None
-            return
-        supports = np.concatenate([s for j, pcv, _ in groups for s, _ in self._children(j, pcv, rows)])
-        supports = supports[np.lexsort(supports.T[::-1])]
-        for lo in range(0, len(supports), rows):
-            yield supports[lo : lo + rows], None
-
-    def _children(self, j: int, pcv: tuple, rows: int):
-        """(supports, where their parents are) blocks of the children of the
-        supports with count vector ``pcv`` through class j: ``()`` for the
-        empty support, (batch, rows) for a kept batch, None otherwise."""
-        members = self.members[j]
-        if not any(pcv):
-            for lo in range(0, members.size, rows):
-                yield members[lo : lo + rows, None], ()
-            return
-        if pcv in self.kept:
-            batch, start, stop = self.kept[pcv]
-            sources = [(batch.supports, batch, start, stop)]
-        else:
-            sources = ((s, None, 0, len(s)) for s, _ in self._rows([pcv], rows, False))
-        step = max(1, rows // members.size)
-        for supports, batch, start, stop in sources:
-            last = supports[start:stop, -1:]
-            for lo in range(0, stop - start, step):
-                p, col = np.nonzero(members > last[lo : lo + step])
-                p += start + lo
-                children = np.concatenate((supports[p], members[col, None]), axis=1)
-                yield children, None if batch is None else (batch, p)
-
-    def _parent_geometry(self, source, n: int):
-        if source == ():
-            return np.zeros((n, 0, self.d), self.atoms.dtype), np.ones(n, dtype=bool)
-        batch, p = source
-        return batch.basis[p], batch.independent[p]
-
-    def _parent_state(self, source, n: int):
-        """The parents' (basis, residual, flag) in this walk, or None when
-        they were not kept; the empty support's residual is the target."""
-        if source is None:
-            return None
-        basis, independent = self._parent_geometry(source, n)
-        return basis, self.target[None] if source == () else self.residuals[source[0]][source[1]], independent
-
-    def _screen_rows(self, supports, state, bar: float):
-        """Which supports the screen keeps, from their parents' states, which
-        are rebuilt from the distinct prefixes when None."""
-        basis, residual, independent = state or self._grow(supports[:, :-1])
-        basis, independent = self._step(basis, independent, supports[:, -1])
-        return ~(self._bounds(supports, _project(residual, basis[:, -1]), independent) > bar)
-
-    def _grow(self, supports):
-        """States of any supports, each built atom by atom once per run of
-        equal supports; a block's supports are in lexicographic order."""
-        head = np.ones(len(supports), dtype=bool)
-        head[1:] = (supports[1:] != supports[:-1]).any(axis=1)
-        distinct, inverse = supports[head], np.cumsum(head) - 1
-        basis, residual, independent = self._parent_state((), len(distinct))
-        for atoms in distinct.T:
-            basis, independent = self._step(basis, independent, atoms)
-            residual = _project(residual, basis[:, -1])
-        return basis[inverse], residual[inverse], independent[inverse]
+    def _rebuilt(self, supports, bar: float):
+        """Which supports of a level above the last kept layer K the screen
+        keeps.  Each support's state starts from the row of its K-atom prefix
+        s, the prefix's lexicographic rank C(n, K) - 1 - sum_i C(n - 1 - s_i,
+        K - i), and is extended one atom at a time."""
+        n, top = len(self.class_of), len(self.layers) - 1
+        binomials = np.array([[math.comb(x, j) for j in range(top + 1)] for x in range(n)], dtype=np.int64)
+        rank = math.comb(n, top) - 1 - binomials[n - 1 - supports[:, :top], top - np.arange(top)].sum(axis=1)
+        layer, residual = self.layers[top], self._screened(top)[0][rank]
+        basis, independent = layer.basis[rank], layer.independent[rank]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for atoms in supports.T[top:]:
+                basis, independent = self._step(basis, independent, atoms)
+                residual = _project(residual, basis[:, -1])
+            return ~(self._bounds(supports, residual, independent) > bar)
 
     def _step(self, basis, independent, atoms):
         """One modified Gram-Schmidt step: every row's basis extended by one atom."""
@@ -541,33 +468,15 @@ class _Tree:
         return bound
 
 
-def _screen(cols: np.ndarray, target: np.ndarray, supports: list, bar: float) -> list:
-    """The supports (all of one cardinality k) whose fit may reach the tolerance.
-
-    Each support's state is built from scratch through its prefix, as in a
-    ``_Tree`` block whose parents were not kept, and a support is
-    dropped only when its bound exceeds ``bar``, well above the tolerance.
-    """
-    k = len(supports[0])
-    if k == 0 or k >= cols.shape[0]:
-        # with k >= d the columns may span the whole space: nothing could be dropped
-        return supports
-    tree = _Tree([], [], cols)
-    tree.target = target
-    with np.errstate(over="ignore", invalid="ignore"):
-        keep = tree._screen_rows(np.array(supports, dtype=np.intp), None, bar)
-    return [s for s, kept in zip(supports, keep.tolist()) if kept]
-
-
-def _walk(problem: SparseProblem, members: list[np.ndarray], plan) -> SparseSolution:
+def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolution:
     """Shared exhaustive search of both solvers and every probe trial.
 
-    Visits the levels of a ``_weight_plan`` in order, building each one
-    from its parents in a ``_Tree`` when it is reached; ``plan`` may be such
-    a tree, built over the problem's frame, to share its bases between
-    walks.  The search stops after the last level of the first weight that
-    has a fit; ``unique`` is true when no second support of that weight also
-    fits.  Every support the screen keeps is decided, in order, by the exact
+    Visits the levels of a ``_weight_plan`` in order, reading each one from
+    its layer in a ``_Tree`` when it is reached; ``plan`` may be such a tree,
+    built over the problem's frame, to share its bases between walks.  The
+    search stops after the last level of the first weight that has a fit;
+    ``unique`` is true when no second support of that weight also fits.
+    Every support the screen keeps is decided, in order, by the exact
     ``_restricted_fit``.
     """
     frame, target = problem.frame, problem.target
@@ -668,11 +577,11 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     return best
 
 
-def _planted_pool(members: list[np.ndarray], plan, threshold: float) -> list[tuple[int, ...]]:
+def _planted_pool(members: list[list[int]], plan, threshold: float) -> list[tuple[int, ...]]:
     """The plan's nonempty supports of total weight below ``threshold``, by
     cardinality then lexicographic order."""
-    levels = _Tree(members, plan).levels(ceiling=math.nextafter(threshold, -math.inf))
-    light = [s for _, block in levels for s in block if s]
+    levels = (_expand(members, cvs, _SCREEN_ENTRIES) for weight, k, cvs in plan if k and weight < threshold)
+    light = [s for blocks in levels for block in blocks for s in map(tuple, block.tolist())]
     return sorted(light, key=lambda s: (len(s), s))
 
 

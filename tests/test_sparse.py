@@ -570,24 +570,44 @@ def _screen_sweep():
                 yield frame, cols, target, list(itertools.combinations(range(frame.n_atoms), k))
 
 
-def test_screen_bound_matches_frozen_projection_residual():
-    # A chunk of [s, s] keeps s iff its bound is at most bar, so bars just
-    # above and just below the frozen residual pin the bound between them.
+def _screened_levels():
+    """(frame, columns, target, level, the level's bounds) for every level of
+    _screen_sweep, read from one tree per (frame, target) after one walk of
+    its levels of 0 < k < d atoms (unit weights: one level per cardinality)."""
+    tree = None
     for frame, cols, target, level in _screen_sweep():
+        if tree is None or tree.target is not target:
+            tree = sparse._Tree(*sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
+            assert all(survivors for _, survivors in tree.levels(target))  # no bar: every level whole
+        yield frame, cols, target, level, tree.screens[len(level[0])][1]
+
+
+def test_screen_bound_matches_frozen_projection_residual():
+    # A support survives a bar iff its bound is not above it, so bars just
+    # above and just below the frozen residual pin the bound between them.
+    for frame, cols, target, level, bound in _screened_levels():
         slack = 1e-13 * float(np.linalg.norm(target))
-        for s, legacy in zip(level, oracles.legacy_screen_residuals(cols, target, level).tolist()):
-            assert sparse._screen(cols, target, [s, s], legacy + slack) == [s, s], s
-            assert sparse._screen(cols, target, [s, s], np.nextafter(legacy - slack, -1.0)) == [], s
+        legacy = oracles.legacy_screen_residuals(cols, target, level)
+        assert bound.shape == legacy.shape
+        for s, b, r in zip(level, bound.tolist(), legacy.tolist()):
+            assert not b > r + slack, s
+            assert b > np.nextafter(r - slack, -1.0), s
 
 
 def test_screen_never_drops_a_fit():
+    tree = None
     for frame, cols, target, level in _screen_sweep():
+        if tree is None or tree.target is not target:
+            # one tree per (frame, target); each walk keeps the survivors of every level
+            tree = sparse._Tree(*sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
+            kept = {}
+            for eps in (None, 0.0, 1e-12):
+                tol = SparseProblem(frame, target, eps).resolved_tolerance()
+                bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))  # as in sparse._walk
+                kept[eps] = tol, {s for _, survivors in tree.levels(target, bar) for s in survivors}
         residuals = [sparse._restricted_fit(cols, s, target)[1] for s in level]
-        for eps in (None, 0.0, 1e-12):
-            tol = SparseProblem(frame, target, eps).resolved_tolerance()
-            bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))  # as in sparse._walk
-            kept = set(sparse._screen(cols, target, level, bar))
-            assert all(s in kept for s, r in zip(level, residuals) if r <= tol), (level[0], eps)
+        for eps, (tol, survivors) in kept.items():
+            assert all(s in survivors for s, r in zip(level, residuals) if r <= tol), (level[0], eps)
 
 
 def _solution_bits(sol):
@@ -620,6 +640,16 @@ def test_engine_matches_frozen_per_support_solvers(name):
         assert _solution_bits(measure_min_brute_force(problem)) == _solution_bits(
             oracles.legacy_measure_min(problem)
         ), (t, eps)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
+def test_engine_matches_frozen_solvers_with_the_numpy_1_row_products(name, monkeypatch):
+    # pyproject allows numpy >= 1.24, and np.vecdot exists only from numpy 2:
+    # the same equivalence with every row product spelled as on numpy 1
+    calls = []
+    monkeypatch.setattr(sparse, "_rowdot", lambda a, b: calls.append(1) or sparse._einsum_rowdot(a, b))
+    test_engine_matches_frozen_per_support_solvers(name)
+    assert calls
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
@@ -704,13 +734,13 @@ def test_small_screen_blocks_give_the_same_solutions_and_probe_bytes(name, monke
         return bits, json.dumps(conjecture_probe(frame, trials=6, seed=11), indent=2, sort_keys=True)
 
     default = run()
-    grow, rebuilt = sparse._Tree._grow, []
-    monkeypatch.setattr(sparse._Tree, "_grow", lambda tree, supports: rebuilt.append(len(supports)) or grow(tree, supports))
+    rebuild, rebuilt = sparse._Tree._rebuilt, []
+    monkeypatch.setattr(sparse._Tree, "_rebuilt", lambda tree, s, bar: rebuilt.append(len(s)) or rebuild(tree, s, bar))
     # a block of k-atom supports holds 32 // (d (k + 1)) of them, and no
     # level of more than a few supports is kept
     monkeypatch.setattr(sparse, "_SCREEN_ENTRIES", 32)
     assert run() == default
-    assert rebuilt  # parent states were rebuilt from their distinct prefixes
+    assert rebuilt  # states were rebuilt from the rows of their prefixes
 
 
 def test_a_level_larger_than_one_block_peaks_below_its_bound(monkeypatch):
