@@ -11,12 +11,14 @@ and ``l0_brute_force`` their number, which is the same search over unit
 weights.  Both walk one plan of support levels by (weight, cardinality),
 built over the classes of equal atom weight, so no table of all 2^n
 supports is built; one guard on the support count refuses a plan before
-any of it is built.  A level is read from its cardinality layer in one
-enumeration tree (``_Tree``): layer k holds every k-atom support and is
-built from layer k - 1, a support being its parent (the support minus its
-last atom) plus that atom; one Gram-Schmidt step per layer extends every
-parent's orthonormal basis and target residual by the new atom.  The
-residual's norm screens the supports; the exact fit makes every decision.
+any of it is built.  A level is read from its cardinality layer: layer k
+holds every k-atom support, each its parent in layer k - 1 plus one atom.
+A plan and its layers' index arrays (``_Plan``) depend only on the weights
+and the cap; they are memoised, least recently used out first, within
+``_SCREEN_ENTRIES`` index entries, and shared safely between threads.  Per
+solve, an enumeration tree (``_Tree``) extends every parent's orthonormal
+basis and target residual by the new atom, one Gram-Schmidt step per
+layer.  The residual's norm screens the supports; the exact fit decides.
 ``conjecture_probe`` plans once, plants random low-weight supports and
 reports, never asserts, whether weight minimization recovers them uniquely;
 its totals and counterexamples are derived from its list of trial records.
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import threading
+from collections import OrderedDict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,9 +50,14 @@ from .frames import (
 # Largest number of candidate supports a solver call may enumerate.
 ENUMERATION_GUARD = 10_000_000
 
-# Most entries of screen state in one block of supports, and in all the
-# batches one tree keeps for their children with one walk's residuals.
+# Most entries of state in one block of supports, in the layers one tree
+# keeps with one walk's residuals, and in the memo of plans.
 _SCREEN_ENTRIES = 1 << 20
+
+# Weight plans by (weights' bytes, cap), least recently used first, and the
+# lock under which the memo and every plan's layers change.
+_PLANS: OrderedDict = OrderedDict()
+_LOCK = threading.Lock()
 
 # Most trials one probe may run.  A trial took 0.2-0.6 ms (2 CPUs) and
 # its record holds 0.7-2 KB, so at the guard a probe runs a few seconds and
@@ -61,12 +70,13 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True, eq=False)
 class SparseProblem:
-    """Recover coefficients reproducing ``target`` through the frame's
-    weighted synthesis.  ``eps_residual`` defaults to 1e-8 * ||target||_2."""
+    """Recover coefficients reproducing ``target`` through the frame's weighted
+    synthesis.  ``eps_residual`` defaults to 1e-8 * ``norm``, the target's 2-norm."""
 
     frame: PSchauderFrame
     target: np.ndarray
     eps_residual: float | None = None
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         # a copy: the checked vector may alias the caller's array, which
@@ -78,13 +88,14 @@ class SparseProblem:
         # an infinite norm would make every tolerance and bar infinite, so
         # the empty support would "fit" any target; refuse it without a warning
         with np.errstate(over="ignore"):
-            if not math.isfinite(np.linalg.norm(h)):
-                raise FrameError("the target's 2-norm overflows a double")
+            object.__setattr__(self, "norm", float(np.linalg.norm(h)))
+        if not math.isfinite(self.norm):
+            raise FrameError("the target's 2-norm overflows a double")
 
     def resolved_tolerance(self) -> float:
         if self.eps_residual is not None:
             return float(self.eps_residual)
-        return 1e-8 * float(np.linalg.norm(self.target))
+        return 1e-8 * self.norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +163,12 @@ def _synthesis_columns(frame: PSchauderFrame) -> np.ndarray:
     return (frame.space.weights[:, None] * frame.vectors).T
 
 
-def _restricted_fit(cols: np.ndarray, support: tuple[int, ...], target: np.ndarray):
+def _restricted_fit(cols: np.ndarray, support: tuple[int, ...], problem: SparseProblem):
     a = cols[:, list(support)]
     if a.shape[1] == 0:
-        return np.zeros(0, dtype=cols.dtype), float(np.linalg.norm(target))
-    coeff, *_ = np.linalg.lstsq(a, target, rcond=None)
-    residual = float(np.linalg.norm(a @ coeff - target))
+        return np.zeros(0, dtype=cols.dtype), problem.norm
+    coeff, *_ = np.linalg.lstsq(a, problem.target, rcond=None)
+    residual = float(np.linalg.norm(a @ coeff - problem.target))
     return coeff, residual
 
 
@@ -194,21 +205,13 @@ def _infeasible() -> SparseSolution:
     )
 
 
-def _weight_plan(weights: np.ndarray, max_card: int | None):
-    """The supports of at most ``max_card`` atoms as levels of equal (total
-    weight, cardinality), in that order.
+def _weight_plan(weights: np.ndarray, max_card: int | None) -> _Plan:
+    """The memoised ``_Plan`` of the supports of at most ``max_card`` atoms.
 
     ``max_card`` None means all n atoms; otherwise it must lie in 0..n.
-    The guard comes next: it sums C(n, k) for k up to that cap and refuses
-    at the first partial total above ``ENUMERATION_GUARD``, so a refusal
-    costs a few small integers at any n and nothing is built.
-
-    Atoms of one exact weight form a class.  A support's weight depends only
-    on how many atoms it takes from each class, and ``math.fsum`` is correctly
-    rounded, so one ``fsum`` per count vector equals, bit for bit, the
-    ``fsum`` over any support with those counts.  Returns the class members
-    (lists of atom indices) and the sorted list of ``(weight, cardinality,
-    [count vectors])``.
+    The guard comes next, on every call: it sums C(n, k) for k up to that
+    cap and refuses at the first partial total above ``ENUMERATION_GUARD``,
+    so a refusal costs a few small integers and builds or stores nothing.
     """
     n = weights.size
     cap = n if max_card is None else int(max_card)
@@ -222,19 +225,117 @@ def _weight_plan(weights: np.ndarray, max_card: int | None):
             raise ResourceGuardError(
                 f"more than {ENUMERATION_GUARD} candidate supports of at most {cap} of {n} atoms"
             )
-    classes: dict[float, list[int]] = {}
-    for i, w in enumerate(weights.tolist()):
-        classes.setdefault(w, []).append(i)
-    members = list(classes.values())
-    # (count vector, summands) rows in itertools.product order, none above cap
-    rows = [((), ())]
-    for v, m in zip(classes, members):
-        rows = [(cv + (c,), t + (v,) * c) for cv, t in rows for c in range(min(len(m), cap - len(t)) + 1)]
-    groups: dict[tuple[float, int], list[tuple[int, ...]]] = {}
-    for cv, t in rows:
-        groups.setdefault((math.fsum(t), len(t)), []).append(cv)
-    # flat (float-first) tuples sort fastest; (weight, card) never ties
-    return members, sorted((w, k, cvs) for (w, k), cvs in groups.items())
+    key = (weights.tobytes(), cap)
+    with _LOCK:
+        if key in _PLANS:
+            _PLANS.move_to_end(key)
+            return _PLANS[key]
+        plan = _PLANS[key] = _Plan(weights, cap)
+        _admit(plan, 0)
+    return plan
+
+
+def _admit(plan: _Plan, size: int) -> None:
+    """Count ``size`` more entries of ``plan`` before they are built, and evict until the memo fits."""
+    plan.entries += size
+    while sum(p.entries for p in _PLANS.values()) > _SCREEN_ENTRIES:
+        _PLANS.popitem(last=False)
+
+
+@dataclass(eq=False)
+class _Layer:
+    """Every k-atom support in lexicographic order (new atoms last), each row's
+    parent row in layer k - 1 and count-vector number, the rows of each plan
+    level, and the binomials C(x, j), x < n, j <= k, that rank supports."""
+
+    supports: np.ndarray
+    parent: np.ndarray | None
+    label: np.ndarray
+    rows: dict
+    binomials: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.supports, self.parent, self.label, self.binomials, *self.rows.values()):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+
+
+class _Plan:
+    """The supports of at most ``cap`` atoms as ``levels``, the sorted list of
+    ``(total weight, cardinality, [count vectors])``, and the layers kept.
+
+    Atoms of one exact weight form a class (``members``).  A support's weight
+    depends only on how many atoms it takes from each class, and ``math.fsum``
+    is correctly rounded, so one ``fsum`` per count vector equals, bit for
+    bit, the ``fsum`` over any support with those counts.
+
+    Layer k is every k-atom support in lexicographic order, built from layer
+    k - 1 in one step: each parent (the support minus its last atom) extended
+    by every atom past its last one.  Each row carries the number of its
+    count vector, so a level is its layer's rows with its count vectors, in
+    order after a stable sort.  None of this depends on a frame; a layer is
+    built once, under ``_LOCK``, and never changes, so threads may share it.
+    """
+
+    def __init__(self, weights: np.ndarray, cap: int):
+        classes: dict[float, list[int]] = {}
+        for i, w in enumerate(weights.tolist()):
+            classes.setdefault(w, []).append(i)
+        self.members = list(classes.values())
+        number = {w: j for j, w in enumerate(classes)}
+        self.class_of = np.array([number[w] for w in weights.tolist()], dtype=np.intp)
+        # (count vector, summands) rows in itertools.product order, none above cap
+        rows = [((), ())]
+        for v, m in zip(classes, self.members):
+            rows = [(cv + (c,), t + (v,) * c) for cv, t in rows for c in range(min(len(m), cap - len(t)) + 1)]
+        groups: dict[tuple[float, int], list[tuple[int, ...]]] = {}
+        for cv, t in rows:
+            groups.setdefault((math.fsum(t), len(t)), []).append(cv)
+        # flat (float-first) tuples sort fastest; (weight, card) never ties
+        self.levels = sorted((w, k, cvs) for (w, k), cvs in groups.items())
+        # count vector -> plan number, by cardinality; a row's label is its
+        # count vector's place in its cardinality's dict
+        self.count_vectors: dict[int, dict] = {}
+        for i, (_, k, cvs) in enumerate(self.levels):
+            for cv in cvs:
+                self.count_vectors.setdefault(k, {})[cv] = i
+        empty, ones = np.zeros((1, 0), dtype=np.intp), np.ones((weights.size, 1), dtype=np.int64)
+        self.layers = {0: _Layer(empty, None, np.zeros(1, np.intp), {0: slice(None)}, ones)}
+        # in 8-byte entries: about 5 KB a plan and 300 bytes a count vector
+        self.entries = 640 + len(rows) * (len(self.members) + 36)
+
+    def layer(self, k: int) -> _Layer:
+        """Layer k, built from layer k - 1 on first use, its entries admitted first."""
+        with _LOCK:
+            if k not in self.layers:
+                n = len(self.class_of)
+                _admit(self, math.comb(n, k) * (k + 3) + n * (k + 1) + 64)
+                self.layers[k] = self._layer(k, n)
+            return self.layers[k]
+
+    def _layer(self, k: int, n: int) -> _Layer:
+        prev = self.layers[k - 1]
+        last = prev.supports[:, -1] if k > 1 else np.full(1, -1)
+        parent, atoms = np.nonzero(np.arange(n) > last[:, None])
+        supports = np.concatenate((prev.supports[parent], atoms[:, None]), axis=1)
+        level_of = self.count_vectors[k]
+        label, ids = prev.label, sorted(set(level_of.values()))
+        if len(self.members) > 1:
+            number = dict(zip(self.count_vectors[k - 1], itertools.count()))
+            table = np.zeros((len(number), len(self.members)), dtype=np.intp)
+            for i, cv in enumerate(level_of):
+                for j, c in enumerate(cv):
+                    if c:
+                        table[number[cv[:j] + (c - 1,) + cv[j + 1 :]], j] = i
+            label = table[label[parent], self.class_of[atoms]]
+        rows = {ids[0]: slice(None)}
+        if len(ids) > 1:
+            level = np.array(list(level_of.values()))[label]
+            order = np.argsort(level, kind="stable")
+            ends = np.cumsum(np.bincount(level)[ids]).tolist()
+            rows = {i: order[start:end] for i, start, end in zip(ids, [0] + ends, ends)}
+        binomials = np.array([[math.comb(x, j) for j in range(k + 1)] for x in range(n)], dtype=np.int64)
+        return _Layer(supports, parent, label, rows, binomials)
 
 
 def _einsum_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -269,40 +370,17 @@ def _expand(members: list[list[int]], count_vectors, rows: int):
             yield block.reshape(-1, k)
         return
     size = sum(math.prod(math.comb(len(m), c) for m, c in pairs) for pairs in drawn)
-    picks = (
-        sorted(itertools.chain.from_iterable(parts))
-        for pairs in drawn
-        for parts in itertools.product(*(itertools.combinations(m, c) for m, c in pairs))
-    )
-    supports = np.fromiter(itertools.chain.from_iterable(picks), np.intp, size * k).reshape(size, k)
+    picks = (p for pairs in drawn for p in itertools.product(*(itertools.combinations(m, c) for m, c in pairs)))
+    atoms = itertools.chain.from_iterable(itertools.chain.from_iterable(picks))
+    supports = np.sort(np.fromiter(atoms, np.intp, size * k).reshape(size, k), axis=1)
     order = np.lexsort(supports.T[::-1])
     for lo in range(0, size, rows):
         yield supports[order[lo : lo + rows]]
 
 
-@dataclass(eq=False)
-class _Layer:
-    """Every k-atom support in lexicographic order, with each row's parent row
-    in layer k - 1, its count-vector number (with several classes), the rows
-    of each plan level, and below d atoms its orthonormal basis and flag."""
-
-    supports: np.ndarray
-    parent: np.ndarray | None
-    label: np.ndarray
-    rows: dict
-    basis: np.ndarray | None
-    independent: np.ndarray | None
-
-
 class _Tree:
-    """The levels of one ``_weight_plan``, read from cardinality layers.
-
-    Layer k is every k-atom support in lexicographic order.  A support's
-    parent is the support minus its last atom, so layer k is built from
-    layer k - 1 in one step: each parent extended by every atom past its
-    last one, which keeps lexicographic order.  Each row carries the number
-    of its count vector, so a plan level is the rows of its layer with its
-    count vectors, and a stable sort by level keeps them in order.
+    """One frame's screen over the layers of a memoised ``_Plan``, which
+    every tree of that plan shares.
 
     Every support of 0 < k < d atoms has an orthonormal basis of its columns
     and a flag that is false on degenerate rows, and each walk carries the
@@ -315,39 +393,25 @@ class _Tree:
     its bound, and that of every descendant, is |R[k, k]| of one stacked raw
     QR of [A_S | t], taken once per layer and walk.  The bases do not depend
     on the target, so the layers serve every walk of the tree (the probe's
-    trials share one tree).
-
-    Layers are built in order of k while they fit, with one walk's
-    residuals, in ``_SCREEN_ENTRIES`` entries of state (on a tree's first
-    walk, only until the walk has a fit).  A level above the last layer K is
-    enumerated by ``_expand`` in blocks of at most as many entries of state;
-    each support's state starts from its K-atom prefix's row and is extended
-    one atom at a time.  One walk runs at a time; without ``cols`` (d = 0)
-    nothing is screened.
+    trials share one tree).  Layers are kept in order of k while their index
+    arrays and bases, with one walk's residuals, fit in ``_SCREEN_ENTRIES``
+    entries (on a tree's first walk, only until the walk has a fit).  A level
+    above the last kept layer K is enumerated by ``_expand`` in blocks of at
+    most as many entries of state, each support's state grown from its
+    K-atom prefix's row.  One walk runs at a time; d = 0 screens nothing.
     """
 
-    def __init__(self, members: list[list[int]], plan, cols: np.ndarray = np.zeros((0, 0))):
-        self.members, self.plan, self.d = members, plan, cols.shape[0]
-        self.class_of = np.zeros(sum(map(len, members)), dtype=np.intp)
-        for j, m in enumerate(members):
-            self.class_of[m] = j
-        # count vector -> plan number, by cardinality; a row's label is its
-        # count vector's place in its cardinality's dict
-        self.count_vectors: dict[int, dict] = {}
-        for i, (_, k, cvs) in enumerate(plan):
-            for cv in cvs:
-                self.count_vectors.setdefault(k, {})[cv] = i
+    def __init__(self, plan: _Plan, cols: np.ndarray):
+        self.plan, self.d = plan, cols.shape[0]
         self.atoms = np.ascontiguousarray(cols.T)
         # 1%, squared: while each new atom keeps more of its norm off the
         # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
         # bound it replaces, the accuracy to which that bound is pinned
         with np.errstate(over="ignore"):
             self.floor = 1e-4 * _squared_norms(self.atoms)
-        empty = np.zeros((1, 0), dtype=np.intp)
-        basis = np.zeros((1, 0, self.d), self.atoms.dtype)
-        self.layers = [_Layer(empty, None, np.zeros(1, np.intp), {0: slice(None)}, basis, np.ones(1, dtype=bool))]
-        self.room = _SCREEN_ENTRIES
-        self.target, self.ceiling, self.screens, self.walks = None, math.inf, {}, 0
+        # (basis, flag) of each kept layer, (None, None) from d atoms on
+        self.bases = [(np.zeros((1, 0, self.d), self.atoms.dtype), np.ones(1, dtype=bool))]
+        self.room, self.target, self.ceiling, self.screens, self.walks = _SCREEN_ENTRIES, None, math.inf, {}, 0
 
     def levels(self, target: np.ndarray, bar: float = math.inf):
         """One walk: (weight, supports as a list of tuples) per block of the
@@ -358,71 +422,48 @@ class _Tree:
         # the empty support's residual is the target; it is not screened
         self.target, self.ceiling, self.screens = target, math.inf, {0: (target[None], None)}
         self.walks += 1
-        for i, (weight, k, cvs) in enumerate(self.plan):
+        for i, (weight, k, cvs) in enumerate(self.plan.levels):
             if weight > self.ceiling:
                 return
             if self._kept(k):
-                rows = self.layers[k].rows[i]
-                found = self.layers[k].supports[rows]
+                rows = self.plan.layers[k].rows[i]
+                found = self.plan.layers[k].supports[rows]
                 if 0 < k < self.d:
                     found = found[~(self._screened(k)[1][rows] > bar)]
                 yield weight, list(map(tuple, found.tolist()))
                 continue
-            for supports in _expand(self.members, cvs, max(1, _SCREEN_ENTRIES // self._entries(k))):
+            # state per support: basis and residual below d atoms, else atoms
+            state = self.d * (k + 1) if k < self.d else k
+            for supports in _expand(self.plan.members, cvs, max(1, _SCREEN_ENTRIES // state)):
                 if k < self.d:
                     supports = supports[self._rebuilt(supports, bar)]
                 yield weight, list(map(tuple, supports.tolist()))
 
-    def _entries(self, k: int) -> int:
-        """Entries of state per k-atom support: basis and residual below d atoms, else atoms."""
-        return self.d * (k + 1) if k < self.d else k
-
     def _kept(self, k: int) -> bool:
-        """Whether layer k is kept.  Layers are built in order of k (a walk
+        """Whether layer k is kept.  Layers are kept in order of k (a walk
         reaches layer k - 1 first) while they fit in the room left; a first
-        walk that has its fit builds none, as the few levels of equal weight
+        walk that has its fit keeps none, as the few levels of equal weight
         left cost less to rebuild, unless later walks reuse the layer."""
-        size = math.comb(len(self.class_of), k) * self._entries(k)
-        if k == len(self.layers) and size <= self.room and (self.ceiling == math.inf or self.walks > 1):
+        # per row, the plan's k + 3 index entries, and below d atoms basis and residual
+        size = math.comb(len(self.plan.class_of), k) * (k + 3 + self.d * (k + 1) * (k < self.d))
+        if k == len(self.bases) and size <= self.room and (self.ceiling == math.inf or self.walks > 1):
             self.room -= size
-            self.layers.append(self._layer(k))
-        return k < len(self.layers)
-
-    def _layer(self, k: int) -> _Layer:
-        """Layer k from layer k - 1, with one Gram-Schmidt step below d atoms."""
-        prev = self.layers[k - 1]
-        last = prev.supports[:, -1] if k > 1 else np.full(1, -1)
-        parent, atoms = np.nonzero(np.arange(len(self.class_of)) > last[:, None])
-        supports = np.concatenate((prev.supports[parent], atoms[:, None]), axis=1)
-        level_of = self.count_vectors[k]
-        label, ids = prev.label, sorted(set(level_of.values()))
-        if len(self.members) > 1:
-            number = dict(zip(self.count_vectors[k - 1], itertools.count()))
-            table = np.zeros((len(number), len(self.members)), dtype=np.intp)
-            for n, cv in enumerate(level_of):
-                for j, c in enumerate(cv):
-                    if c:
-                        table[number[cv[:j] + (c - 1,) + cv[j + 1 :]], j] = n
-            label = table[label[parent], self.class_of[atoms]]
-        rows = {ids[0]: slice(None)}
-        if len(ids) > 1:
-            level = np.array(list(level_of.values()))[label]
-            order = np.argsort(level, kind="stable")
-            ends = np.cumsum(np.bincount(level)[ids]).tolist()
-            rows = {i: order[start:end] for i, start, end in zip(ids, [0] + ends, ends)}
-        basis = independent = None
-        if k < self.d:
-            with np.errstate(over="ignore", invalid="ignore"):
-                basis, independent = self._step(prev.basis[parent], prev.independent[parent], atoms)
-        return _Layer(supports, parent, label, rows, basis, independent)
+            layer, (basis, independent) = self.plan.layer(k), self.bases[k - 1]
+            if k < self.d:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    basis, independent = self._step(
+                        basis[layer.parent], independent[layer.parent], layer.supports[:, -1]
+                    )
+            self.bases.append((basis, independent) if k < self.d else (None, None))
+        return k < len(self.bases)
 
     def _screened(self, k: int):
         """This walk's residuals of kept layer 0 < k < d and their bounds, once per walk."""
         if k not in self.screens:
-            layer = self.layers[k]
+            layer, (basis, independent) = self.plan.layers[k], self.bases[k]
             with np.errstate(over="ignore", invalid="ignore"):
-                residual = _project(self._screened(k - 1)[0][layer.parent], layer.basis[:, -1])
-                self.screens[k] = residual, self._bounds(layer.supports, residual, layer.independent)
+                residual = _project(self._screened(k - 1)[0][layer.parent], basis[:, -1])
+                self.screens[k] = residual, self._bounds(layer.supports, residual, independent)
         return self.screens[k]
 
     def _rebuilt(self, supports, bar: float):
@@ -430,11 +471,10 @@ class _Tree:
         keeps.  Each support's state starts from the row of its K-atom prefix
         s, the prefix's lexicographic rank C(n, K) - 1 - sum_i C(n - 1 - s_i,
         K - i), and is extended one atom at a time."""
-        n, top = len(self.class_of), len(self.layers) - 1
-        binomials = np.array([[math.comb(x, j) for j in range(top + 1)] for x in range(n)], dtype=np.int64)
+        n, top = len(self.plan.class_of), len(self.bases) - 1
+        binomials = self.plan.layers[top].binomials
         rank = math.comb(n, top) - 1 - binomials[n - 1 - supports[:, :top], top - np.arange(top)].sum(axis=1)
-        layer, residual = self.layers[top], self._screened(top)[0][rank]
-        basis, independent = layer.basis[rank], layer.independent[rank]
+        (basis, independent), residual = (a[rank] for a in self.bases[top]), self._screened(top)[0][rank]
         with np.errstate(over="ignore", invalid="ignore"):
             for atoms in supports.T[top:]:
                 basis, independent = self._step(basis, independent, atoms)
@@ -468,11 +508,11 @@ class _Tree:
         return bound
 
 
-def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolution:
+def _walk(problem: SparseProblem, plan) -> SparseSolution:
     """Shared exhaustive search of both solvers and every probe trial.
 
-    Visits the levels of a ``_weight_plan`` in order, reading each one from
-    its layer in a ``_Tree`` when it is reached; ``plan`` may be such a tree,
+    Visits the levels of a ``_Plan`` in order, reading each one from its
+    layer in a ``_Tree`` when it is reached; ``plan`` may be such a tree,
     built over the problem's frame, to share its bases between walks.  The
     search stops after the last level of the first weight that has a fit;
     ``unique`` is true when no second support of that weight also fits.
@@ -481,13 +521,13 @@ def _walk(problem: SparseProblem, members: list[list[int]], plan) -> SparseSolut
     """
     frame, target = problem.frame, problem.target
     tol = problem.resolved_tolerance()
-    bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))
+    bar = 2.0 * tol + 1e-9 * problem.norm
     cols = _synthesis_columns(frame)
-    tree = plan if isinstance(plan, _Tree) else _Tree(members, plan, cols)
+    tree = plan if isinstance(plan, _Tree) else _Tree(plan, cols)
     first = None
     for objective, survivors in tree.levels(target, bar):
         for support in survivors:
-            coeff, residual = _restricted_fit(cols, support, target)
+            coeff, residual = _restricted_fit(cols, support, problem)
             if residual <= tol:
                 if first is not None:
                     return _padded_solution(frame, *first, unique=False)
@@ -506,7 +546,7 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
     true when no other support of the same cardinality also fits.  Only
     supports of at most ``max_card`` atoms (None: all n) are searched.
     """
-    return _walk(problem, *_weight_plan(np.ones(problem.frame.n_atoms), max_card))
+    return _walk(problem, _weight_plan(np.ones(problem.frame.n_atoms), max_card))
 
 
 def measure_min_brute_force(problem: SparseProblem, max_card: int | None = None) -> SparseSolution:
@@ -518,7 +558,7 @@ def measure_min_brute_force(problem: SparseProblem, max_card: int | None = None)
     most ``max_card`` atoms (None: all n) are searched.  Reduces to
     ``l0_brute_force`` under counting measure.
     """
-    return _walk(problem, *_weight_plan(problem.frame.space.weights, max_card))
+    return _walk(problem, _weight_plan(problem.frame.space.weights, max_card))
 
 
 @dataclass(frozen=True, eq=False)
@@ -577,10 +617,10 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     return best
 
 
-def _planted_pool(members: list[list[int]], plan, threshold: float) -> list[tuple[int, ...]]:
+def _planted_pool(plan: _Plan, threshold: float) -> list[tuple[int, ...]]:
     """The plan's nonempty supports of total weight below ``threshold``, by
     cardinality then lexicographic order."""
-    levels = (_expand(members, cvs, _SCREEN_ENTRIES) for weight, k, cvs in plan if k and weight < threshold)
+    levels = (_expand(plan.members, cvs, _SCREEN_ENTRIES) for weight, k, cvs in plan.levels if k and weight < threshold)
     light = [s for blocks in levels for block in blocks for s in map(tuple, block.tolist())]
     return sorted(light, key=lambda s: (len(s), s))
 
@@ -612,21 +652,21 @@ def conjecture_probe(
         raise ResourceGuardError(f"trials {trials} exceeds guard {_PROBE_TRIALS_GUARD}")
     rng = _seeded_rng(seed)
     n, w = frame.n_atoms, frame.space.weights
-    members, plan = _weight_plan(w, None)
+    plan = _weight_plan(w, None)
     coh_all = gram_coherence(frame)
     coh_distinct = _distinct_vector_coherence(frame)
     thr_all = uniqueness_threshold(coh_all)
     thr_distinct = uniqueness_threshold(coh_distinct)
-    pool = _planted_pool(members, plan, thr_all)
+    pool = _planted_pool(plan, thr_all)
     # one tree for every trial's walk: its bases do not depend on the target
-    tree = _Tree(members, plan, _synthesis_columns(frame))
+    tree = _Tree(plan, _synthesis_columns(frame))
     records = []
     for t in range(trials if pool else 0):
         support = pool[int(rng.integers(len(pool)))]
         values = np.zeros(n, dtype=frame.vectors.dtype)
         values[list(support)] = _standard_normal(rng, len(support), frame.field)
         target = synthesis(frame, CoefficientFunction(frame.space, values))
-        solution = _walk(SparseProblem(frame, target, eps_residual), members, tree)
+        solution = _walk(SparseProblem(frame, target, eps_residual), tree)
         weight = math.fsum(w[list(support)].tolist())
         records.append({
             "trial": t,

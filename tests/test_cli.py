@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import subprocess
@@ -1193,3 +1194,19 @@ def test_closed_stdout_pipe_exits_141_without_a_message(tmp_path):
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys):
+    # the target pyproject names in [project.scripts], resolved as an
+    # installed console script resolves it, on the two commands of the CI's
+    # "Installed entry point" step; tomllib is in the standard library from 3.11
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["framelab"]
+    module, _, attribute = target.partition(":")
+    entry = getattr(importlib.import_module(module), attribute)
+    frame = tmp_path / "mb.json"
+    assert entry(["gen", "--kind", "mercedes-benz", "--out", str(frame)]) == 0
+    assert json.loads(capsys.readouterr().out)["written"] == [str(frame)]
+    assert entry(["validate", "--frame", str(frame)]) == 0
+    assert json.loads(capsys.readouterr().out)["passes"] is True

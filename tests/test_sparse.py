@@ -1,7 +1,12 @@
+import gc
 import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -577,7 +582,7 @@ def _screened_levels():
     tree = None
     for frame, cols, target, level in _screen_sweep():
         if tree is None or tree.target is not target:
-            tree = sparse._Tree(*sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
+            tree = sparse._Tree(sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
             assert all(survivors for _, survivors in tree.levels(target))  # no bar: every level whole
         yield frame, cols, target, level, tree.screens[len(level[0])][1]
 
@@ -599,13 +604,13 @@ def test_screen_never_drops_a_fit():
     for frame, cols, target, level in _screen_sweep():
         if tree is None or tree.target is not target:
             # one tree per (frame, target); each walk keeps the survivors of every level
-            tree = sparse._Tree(*sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
+            tree = sparse._Tree(sparse._weight_plan(np.ones(frame.n_atoms), frame.dimension - 1), cols)
             kept = {}
             for eps in (None, 0.0, 1e-12):
                 tol = SparseProblem(frame, target, eps).resolved_tolerance()
                 bar = 2.0 * tol + 1e-9 * float(np.linalg.norm(target))  # as in sparse._walk
                 kept[eps] = tol, {s for _, survivors in tree.levels(target, bar) for s in survivors}
-        residuals = [sparse._restricted_fit(cols, s, target)[1] for s in level]
+        residuals = [sparse._restricted_fit(cols, s, SparseProblem(frame, target))[1] for s in level]
         for eps, (tol, survivors) in kept.items():
             assert all(s in survivors for s, r in zip(level, residuals) if r <= tol), (level[0], eps)
 
@@ -678,9 +683,9 @@ def test_capped_solvers_match_exhaustive_oracle(name):
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
 def test_probe_support_pool_matches_frozen_list(name):
     w = ENGINE_FRAMES[name].space.weights
-    members, plan = sparse._weight_plan(w, w.size)
+    plan = sparse._weight_plan(w, w.size)
     for threshold in (0.0, float(w.min()), 1.0, 1.6, 2.5, math.inf):
-        assert sparse._planted_pool(members, plan, threshold) == oracles.legacy_light_supports(w, threshold)
+        assert sparse._planted_pool(plan, threshold) == oracles.legacy_light_supports(w, threshold)
 
 
 @settings(max_examples=20, deadline=None)
@@ -703,18 +708,18 @@ def test_tree_levels_hold_each_level_in_sorted_order(classes, d, seed):
         cols[:, 2] = cols[:, 1]
     target = rng.standard_normal(d)
     for max_card in range(n + 1):
-        members, plan = sparse._weight_plan(weights, max_card)
+        plan = sparse._weight_plan(weights, max_card)
         levels = {}
         for k in range(max_card + 1):
             for s in itertools.combinations(range(n), k):
                 levels.setdefault((math.fsum(weights[list(s)].tolist()), k), []).append(s)
-        expected = [s for weight, k, _ in plan for s in sorted(levels[weight, k])]
+        expected = [s for weight, k, _ in plan.levels for s in sorted(levels[weight, k])]
         # at 256 entries a block holds 256 // (d (k + 1)) supports and few levels are kept
         for entries in (sparse._SCREEN_ENTRIES, 256):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(sparse, "_SCREEN_ENTRIES", entries)
-                screened = sparse._Tree(members, plan, cols)
-                for tree in (sparse._Tree(members, plan), screened, screened):
+                screened = sparse._Tree(plan, cols)
+                for tree in (sparse._Tree(plan, cols[:0]), screened, screened):
                     blocks = list(tree.levels(target))
                     assert [s for _, block in blocks for s in block] == expected, (max_card, entries)
                     assert all(w == math.fsum(weights[list(s)].tolist()) for w, block in blocks for s in block)
@@ -764,6 +769,181 @@ def test_a_level_larger_than_one_block_peaks_below_its_bound(monkeypatch):
     assert peak() < bound < whole_levels
 
 
+# ------------------------------------------------------------ the plan memo
+
+
+def _memo_frame(weights, d, seed):
+    """Gaussian real atoms in R^d with these weights; the first atom is zero
+    and the third repeats the second, so some rows are degenerate."""
+    vectors = np.random.default_rng(seed).standard_normal((weights.size, d))
+    vectors[0] = 0.0
+    if weights.size > 2:
+        vectors[2] = vectors[1]
+    return PSchauderFrame(MeasureSpace(weights), 2.0, vectors, vectors, "real")
+
+
+def _memo_targets(frame, seed):
+    """A dense target and one planted on the last one or two atoms."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(frame.n_atoms)
+    values[-min(2, frame.n_atoms):] = rng.uniform(0.5, 2.0, min(2, frame.n_atoms))
+    return [rng.standard_normal(frame.dimension), synthesis(frame, CoefficientFunction(frame.space, values))]
+
+
+def _memo_solves(frame, targets, caps=None):
+    """Both solvers' bits on every target at every cap, then one probe's bytes."""
+    bits = [
+        _solution_bits(solve(SparseProblem(frame, target), max_card=cap))
+        for target in targets
+        for cap in (range(frame.n_atoms + 1) if caps is None else caps)
+        for solve in (l0_brute_force, measure_min_brute_force)
+    ]
+    return bits, json.dumps(conjecture_probe(frame, trials=3, seed=5), indent=2, sort_keys=True)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    classes=st.lists(st.integers(0, 2), min_size=2, max_size=9),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_a_warm_memo_gives_the_cold_solutions_and_probe_bytes(classes, d, seed):
+    # Warm: the memo holds other plans and these weights' plans with the
+    # layers of a frame of one more dimension, and trees built under 32
+    # entries have walked every cap's plans.  Cold: the memo starts empty.
+    weights = np.array([0.3, 0.7, 1.1])[classes]
+    frame = _memo_frame(weights, d, seed)
+    targets = _memo_targets(frame, seed)
+    entries, caps = sparse._SCREEN_ENTRIES, range(frame.n_atoms + 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse, "_PLANS", OrderedDict())
+        cold = _memo_solves(frame, targets)
+        patch.setattr(sparse, "_PLANS", OrderedDict())
+        others = [ENGINE_FRAMES["class-weights"], ENGINE_FRAMES["split-complex"], _memo_frame(weights, d + 1, seed)]
+        for other in others:
+            _memo_solves(other, _memo_targets(other, seed), caps=(None, 2))
+        plans = [(sparse._weight_plan(np.ones(frame.n_atoms), cap), sparse._weight_plan(weights, cap)) for cap in caps]
+        patch.setattr(sparse, "_SCREEN_ENTRIES", 32)
+        trees = [[sparse._Tree(plan, sparse._synthesis_columns(frame)) for plan in pair] for pair in plans]
+        patch.setattr(sparse, "_SCREEN_ENTRIES", entries)
+        small = [
+            _solution_bits(sparse._walk(SparseProblem(frame, target), tree))
+            for target in targets
+            for pair in trees
+            for tree in pair
+        ]
+        warm = _memo_solves(frame, targets)
+        assert any(len(plan.layers) > 1 for plan in sparse._PLANS.values())
+    assert small == cold[0]
+    assert warm == cold
+
+
+def test_refusals_keep_their_messages_with_a_warm_memo_and_store_no_plan(monkeypatch):
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    mb = mercedes_benz()
+    problem = SparseProblem(mb, np.array([1.0, 0.0]))
+    for cap in (None, 0, 1, 2):
+        l0_brute_force(problem, max_card=cap)
+        measure_min_brute_force(problem, max_card=cap)
+    conjecture_probe(mb, trials=2)
+    held = list(sparse._PLANS.items())
+    big = SparseProblem(harmonic_discretization(1, 5000), np.ones(1))
+    guard = (ResourceGuardError, "more than 10000000 candidate supports of at most 5000 of 5000 atoms")
+
+    def probe(problem):
+        return conjecture_probe(problem.frame, trials=1)
+
+    refusals = [case[1:] for case in _sparse_refusals()]
+    refusals += [(lambda solve=solve: solve(big), guard) for solve in (l0_brute_force, measure_min_brute_force, probe)]
+    for call, (kind, message) in refusals:
+        with pytest.raises(kind) as info:
+            call()
+        assert type(info.value) is kind
+        assert str(info.value) == message
+        assert list(sparse._PLANS.items()) == held  # nothing stored, nothing reordered
+    # the guard is arithmetic on every call, so a memoised plan is refused too
+    monkeypatch.setattr(sparse, "ENUMERATION_GUARD", 7)
+    with pytest.raises(ResourceGuardError, match="^more than 7 candidate supports of at most 3 of 3 atoms$"):
+        l0_brute_force(problem)
+    assert list(sparse._PLANS.items()) == held
+    assert l0_brute_force(problem, max_card=2).status == "solved"  # 7 supports
+
+
+def test_the_memo_stays_within_its_entries_after_more_plans_than_fit(monkeypatch):
+    # 60 one-class plans of distinct weights, each about 1,500 entries with
+    # its layers, against a memo of 2^14 entries: the least recently used
+    # go, and what stays costs about 8 bytes an entry (6-9 measured)
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sparse, "_SCREEN_ENTRIES", 1 << 14)
+    base = random_parseval(3, 7, seed=1)
+    problems = [SparseProblem(_with_weights(base, np.full(7, 1.0 + i)), np.array([1.0, -2.0, 0.5])) for i in range(60)]
+    keys = [(problem.frame.space.weights.tobytes(), 7) for problem in problems]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for problem in problems:
+            assert measure_min_brute_force(problem).status == "solved"
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    plans = sparse._PLANS
+    assert all(len(plan.layers) > 1 for plan in plans.values())
+    assert 1 < len(plans) < len(problems)
+    assert list(plans) == keys[-len(plans) :]  # least recently used out first
+    assert sum(plan.entries for plan in plans.values()) <= sparse._SCREEN_ENTRIES
+    assert held < 2 * 8 * sparse._SCREEN_ENTRIES
+
+
+def test_four_threads_on_one_shared_plan_give_the_serial_results(monkeypatch):
+    # Every frame has unit weights, so both solvers and the probe share one
+    # plan.  The threads start together on a cold memo and each runs every
+    # job, from its own place in the list; then four threads build every
+    # layer of one fresh n = 16 plan at once, where a layer built or counted
+    # twice would show (without the lock it did, on each of 20 tries).
+    frames = [random_parseval(4, 10, seed=seed) for seed in range(5)]
+    jobs = [
+        (lambda problem, solve=solve: _solution_bits(solve(problem)), SparseProblem(frame, target))
+        for frame in frames
+        for target in _memo_targets(frame, 3)
+        for solve in (l0_brute_force, measure_min_brute_force)
+    ]
+    jobs += [(lambda frame: json.dumps(conjecture_probe(frame, trials=4, seed=2)), frame) for frame in frames[:2]]
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    serial = [job(arg) for job, arg in jobs]
+    (plan,) = sparse._PLANS.values()
+    built = set(plan.layers), plan.entries
+    alone, fresh = sparse._Plan(np.ones(16), 16), sparse._Plan(np.ones(16), 16)
+    for k in range(1, 17):
+        alone.layer(k)
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    start = threading.Barrier(4, timeout=60)
+
+    def run(offset):
+        start.wait()
+        return [job(arg) for job, arg in jobs[offset:] + jobs[:offset]]
+
+    def build(_):
+        start.wait()
+        return [fresh.layer(k) for k in range(1, 17)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside layer builds too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, (0, 3, 6, 9), timeout=300))
+            layers = list(pool.map(build, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [serial[i:] + serial[:i] for i in (0, 3, 6, 9)]
+    (plan,) = sparse._PLANS.values()
+    assert (set(plan.layers), plan.entries) == built and len(plan.layers) > 1
+    assert all(each == layers[0] for each in layers)  # the same layer objects
+    assert fresh.entries == alone.entries
+    assert all((fresh.layers[k].supports == alone.layers[k].supports).all() for k in range(17))
+
+
 @pytest.mark.parametrize("name", ["harmonic-split", "split-complex", "class-weights", "distinct-weights"])
 @pytest.mark.parametrize("eps", [None, 1e-12])
 def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
@@ -774,11 +954,11 @@ def test_probe_report_bytes_match_frozen_path(name, eps, monkeypatch):
 
     calls = {"trials": 0, "pools": 0}
 
-    def frozen_trial(problem, members, plan):
+    def frozen_trial(problem, tree):
         calls["trials"] += 1
         return oracles.legacy_measure_min(problem)
 
-    def frozen_pool(members, plan, threshold):
+    def frozen_pool(plan, threshold):
         calls["pools"] += 1
         return oracles.legacy_light_supports(frame.space.weights, threshold)
 
