@@ -11,24 +11,24 @@ Layout::
 
 Real scalars are plain numbers; complex scalars are two-element arrays
 ``[re, im]``.  Doubles survive a write/read cycle bit-identically because the
-writer emits shortest round-trip decimals.
-
-One conversion, ``_cells``, turns scalar tables into these JSON cells; the
-file writer, ``frame_to_obj`` and ``vector_to_obj`` all take their cells
-from it.
+writer emits shortest round-trip decimals.  One conversion, ``_cells``, turns
+scalar tables into these JSON cells for the writer, ``frame_to_obj`` and
+``vector_to_obj``.
 
 The text layout is a fixed contract: it is exactly the bytes of
 ``json.dumps(frame_to_obj(frame), indent=2)`` (2-space indent, one scalar or
-bracket per line, ``float.__repr__`` decimals).  ``frame_json`` writes that
-text directly rather than through the pure-Python indenting encoder, and
-``tests/test_frame_io.py`` pins it against a frozen copy of the per-scalar
-encoder; digests and saved files depend on every byte of it.
+bracket per line, ``float.__repr__`` decimals), and digests and saved files
+depend on every byte of it.  ``frame_json`` writes it directly, spelling each
+distinct double once.  The reader screens each row with whole-row passes and
+reads every number with ``float`` in one pass.  ``tests/test_frame_io.py``
+pins both against frozen per-scalar copies.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -54,24 +54,35 @@ def _decode_number(obj, what: str) -> float:
         raise FrameError(f"{what} is out of range") from None
 
 
-def _decode_scalar(obj, field: str):
-    if field == COMPLEX:
-        if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
-            raise FrameError("complex scalars must be [re, im] pairs")
-        # float() keeps every file that loaded before loading to the same
-        # bits (numeric strings such as "1.0" included); anything it cannot
-        # read is a malformed file, not a crash.
-        try:
-            return complex(float(obj[0]), float(obj[1]))
-        except (TypeError, ValueError, OverflowError):
-            raise FrameError("complex scalar parts must be numbers") from None
-    return _decode_number(obj, "a real scalar")
-
-
-def _decode_row(obj, field: str, what: str) -> list:
+def _screen(obj, field: str, what: str, rows: list) -> int:
+    """Queue the JSON array ``obj`` on ``rows`` and return its length, or refuse its first malformed cell."""
     if not isinstance(obj, list):
         raise FrameError(f"{what} must hold a JSON array")
-    return [_decode_scalar(s, field) for s in obj]
+    pairs = field == COMPLEX
+    kinds = (list, tuple) if pairs else (int, float)
+    end = len(obj)
+    if not set(map(type, obj)) <= set(kinds) or pairs and not set(map(len, obj)) <= {2}:
+        bad = (isinstance(s, bool) or not isinstance(s, kinds) or pairs and len(s) != 2 for s in obj)
+        end = next((i for i, b in enumerate(bad) if b), end)
+    if end < len(obj):
+        _numbers([obj[:end]], field)  # a malformed number before the malformed cell is refused first
+        raise FrameError("complex scalars must be [re, im] pairs" if pairs else "a real scalar must be a plain number")
+    rows.append(obj)
+    return end
+
+
+def _numbers(rows: list, field: str) -> np.ndarray:
+    """The queued cells as one array.  ``float`` keeps every file that loaded
+    before loading to the same bits (numeric strings such as "1.0" in complex
+    parts included), and of a plain number it can only overflow."""
+    pairs = field == COMPLEX
+    cells = chain.from_iterable(rows)
+    count = sum(map(len, rows)) * (1 + pairs)
+    try:
+        values = np.fromiter(map(float, chain.from_iterable(cells) if pairs else cells), np.float64, count)
+    except (TypeError, ValueError, OverflowError) if pairs else OverflowError:
+        raise FrameError("complex scalar parts must be numbers" if pairs else "a real scalar is out of range") from None
+    return values.view(np.complex128) if pairs else values
 
 
 def frame_to_obj(frame: PSchauderFrame) -> dict:
@@ -103,58 +114,63 @@ def frame_from_obj(obj) -> PSchauderFrame:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise FrameError("frame file needs at least one atom")
-    weights, functionals, vectors = [], [], []
-    for k, atom in enumerate(atoms):
-        if not isinstance(atom, dict):
-            raise FrameError(f"atom {k} must be an object")
-        try:
-            weights.append(_decode_number(atom["weight"], f"atom {k} weight"))
-            fun = _decode_row(atom["functional"], field, f"atom {k} functional")
-            vec = _decode_row(atom["vector"], field, f"atom {k} vector")
-        except KeyError as exc:
-            raise FrameError(f"atom {k} missing {exc}") from None
-        if len(fun) != dim or len(vec) != dim:
-            raise FrameError(f"atom {k} rows must have length {dim}")
-        functionals.append(fun)
-        vectors.append(vec)
-    # both constructors convert the decoded lists and keep their own copies
+    # a malformed number queued before a refusal is refused first
+    weights, rows = [], []
+    try:
+        for k, atom in enumerate(atoms):
+            if not isinstance(atom, dict):
+                raise FrameError(f"atom {k} must be an object")
+            try:
+                weights.append(_decode_number(atom["weight"], f"atom {k} weight"))
+                fun = _screen(atom["functional"], field, f"atom {k} functional", rows)
+                vec = _screen(atom["vector"], field, f"atom {k} vector", rows)
+            except KeyError as exc:
+                raise FrameError(f"atom {k} missing {exc}") from None
+            if fun != dim or vec != dim:
+                raise FrameError(f"atom {k} rows must have length {dim}")
+    except FrameError:
+        _numbers(rows, field)
+        raise
+    tables = _numbers(rows, field).reshape(len(atoms), 2, dim)
+    # both constructors keep their own copies
     return PSchauderFrame(
         space=MeasureSpace(weights),
         p=_decode_number(obj["p"], "p"),
-        functionals=functionals,
-        vectors=vectors,
+        functionals=tables[:, 0],
+        vectors=tables[:, 1],
         field=field,
     )
 
 
-def frame_json(frame: PSchauderFrame) -> str:
-    """Canonical text form; also the hashing preimage for frame digests.
-
-    Byte-identical to ``json.dumps(frame_to_obj(frame), indent=2)``: ``%r``
-    of a Python float is the ``float.__repr__`` the encoder emits, and
-    frames hold only finite doubles, so no ``NaN``/``Infinity`` spelling
-    can arise.
-    """
-    cell = "[\n          %r,\n          %r\n        ]" if frame.field == COMPLEX else "%r"
+def _text_pieces(frame: PSchauderFrame):
+    """``frame_json``'s text, in pieces of at most one atom."""
+    cell = "[\n          %s,\n          %s\n        ]" if frame.field == COMPLEX else "%s"
     row = ",\n        ".join([cell] * frame.dimension)
     atom = (
-        '    {\n      "weight": %r,\n      "functional": [\n        ' + row
+        '    {\n      "weight": %s,\n      "functional": [\n        ' + row
         + '\n      ],\n      "vector": [\n        ' + row + "\n      ]\n    }"
     )
     n = frame.n_atoms
-    table = np.hstack(
-        [
-            frame.space.weights[:, None],
-            _cells(frame.functionals, frame.field).reshape(n, -1),
-            _cells(frame.vectors, frame.field).reshape(n, -1),
-        ]
-    ).tolist()
-    header = '{\n  "field": %s,\n  "p": %r,\n  "dimension": %d,\n  "atoms": [\n' % (
-        json.dumps(frame.field),
-        frame.p,
-        frame.dimension,
-    )
-    return header + ",\n".join([atom % tuple(values) for values in table]) + "\n  ]\n}"
+    tables = [_cells(t, frame.field).reshape(n, -1) for t in (frame.functionals, frame.vectors)]
+    bits, inverse = np.unique(np.hstack([frame.space.weights[:, None], *tables]).view(np.uint64), return_inverse=True)
+    decimals = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    inverse = inverse.reshape(n, -1)  # its shape differs between numpy 2.0.x releases
+    head = '{\n  "field": %s,\n  "p": %r,\n  "dimension": %d,\n  "atoms": [\n'
+    sep = head % (json.dumps(frame.field), frame.p, frame.dimension)
+    for start in range(0, n, 64):  # the cells of 64 atoms at a time are objects
+        for values in decimals[inverse[start:start + 64]].tolist():
+            yield sep + atom % tuple(values)
+            sep = ",\n"
+    yield "\n  ]\n}"
+
+
+def frame_json(frame: PSchauderFrame) -> str:
+    """Canonical text form, and the hashing preimage for frame digests:
+    ``json.dumps(frame_to_obj(frame), indent=2)``.  Each distinct double (by
+    bit pattern, so -0.0 and 0.0 stay apart) is spelled once by the
+    ``float.__repr__`` the encoder emits; frames hold only finite doubles, so
+    no ``NaN``/``Infinity`` spelling can arise."""
+    return "".join(_text_pieces(frame))
 
 
 def frame_digest(frame: PSchauderFrame) -> str:
@@ -164,7 +180,9 @@ def frame_digest(frame: PSchauderFrame) -> str:
 
 
 def save_frame(frame: PSchauderFrame, path) -> None:
-    Path(path).write_text(frame_json(frame) + "\n")
+    # atom by atom, so the whole text is never held in memory
+    with open(path, "w") as out:
+        out.writelines(chain(_text_pieces(frame), ["\n"]))
 
 
 def read_json(path, what: str):
@@ -192,6 +210,5 @@ def vector_to_obj(x: np.ndarray, field: str) -> list:
 
 
 def vector_from_obj(obj, field: str) -> np.ndarray:
-    values = _decode_row(obj, field, "vector file")
-    dtype = np.complex128 if field == COMPLEX else np.float64
-    return np.array(values, dtype=dtype)
+    _screen(obj, field, "vector file", [])
+    return _numbers([obj], field)

@@ -324,11 +324,9 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
         # fsum of c copies of w is the real c*w rounded once, and so is one
         # IEEE product of the exact integer c by w: the same bits.
         return (masks.sum(axis=1) * w).tolist()
-    _, first, inverse = np.unique(
-        np.packbits(masks, axis=1), axis=0, return_index=True, return_inverse=True
-    )
-    sums = [math.fsum(weights[masks[i]].tolist()) for i in first]
-    return [sums[k] for k in inverse.ravel()]
+    keys = [mask.tobytes() for mask in masks]
+    sums = {key: math.fsum(weights[mask].tolist()) for key, mask in dict(zip(keys, masks)).items()}
+    return [sums[key] for key in keys]
 
 
 def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> float:

@@ -195,6 +195,92 @@ def legacy_frame_json(frame):
 
 
 # ---------------------------------------------------------------------------
+# FROZEN REFERENCE: the frame-file reader as it was before it screened whole
+# rows and read every number in one pass: one Python call per cell, in file
+# order, so the first malformed cell decides the refusal.  test_frame_io.py
+# requires the reader to refuse exactly when this one does, with the same
+# message, and otherwise to load the same bits.  Only the error type and the
+# MeasureSpace/PSchauderFrame constructors are taken from framelab.
+
+
+def _legacy_decode_number(obj, what):
+    from framelab import FrameError
+
+    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
+        raise FrameError(f"{what} must be a plain number")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise FrameError(f"{what} is out of range") from None
+
+
+def _legacy_decode_scalar(obj, field):
+    from framelab import FrameError
+
+    if field == "complex":
+        if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
+            raise FrameError("complex scalars must be [re, im] pairs")
+        try:
+            return complex(float(obj[0]), float(obj[1]))
+        except (TypeError, ValueError, OverflowError):
+            raise FrameError("complex scalar parts must be numbers") from None
+    return _legacy_decode_number(obj, "a real scalar")
+
+
+def _legacy_decode_row(obj, field, what):
+    from framelab import FrameError
+
+    if not isinstance(obj, list):
+        raise FrameError(f"{what} must hold a JSON array")
+    return [_legacy_decode_scalar(s, field) for s in obj]
+
+
+def legacy_frame_from_obj(obj):
+    from framelab import FrameError, MeasureSpace, PSchauderFrame
+
+    if not isinstance(obj, dict):
+        raise FrameError("frame file must hold a JSON object")
+    missing = {"field", "p", "dimension", "atoms"} - obj.keys()
+    if missing:
+        raise FrameError(f"frame file missing keys: {sorted(missing)}")
+    field = obj["field"]
+    if field not in ("real", "complex"):
+        raise FrameError(f"unknown field {field!r}")
+    dim = obj["dimension"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise FrameError("dimension must be a positive integer")
+    atoms = obj["atoms"]
+    if not isinstance(atoms, list) or not atoms:
+        raise FrameError("frame file needs at least one atom")
+    weights, functionals, vectors = [], [], []
+    for k, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise FrameError(f"atom {k} must be an object")
+        try:
+            weights.append(_legacy_decode_number(atom["weight"], f"atom {k} weight"))
+            fun = _legacy_decode_row(atom["functional"], field, f"atom {k} functional")
+            vec = _legacy_decode_row(atom["vector"], field, f"atom {k} vector")
+        except KeyError as exc:
+            raise FrameError(f"atom {k} missing {exc}") from None
+        if len(fun) != dim or len(vec) != dim:
+            raise FrameError(f"atom {k} rows must have length {dim}")
+        functionals.append(fun)
+        vectors.append(vec)
+    return PSchauderFrame(
+        space=MeasureSpace(weights),
+        p=_legacy_decode_number(obj["p"], "p"),
+        functionals=functionals,
+        vectors=vectors,
+        field=field,
+    )
+
+
+def legacy_vector_from_obj(obj, field):
+    values = _legacy_decode_row(obj, field, "vector file")
+    return np.array(values, dtype=np.complex128 if field == "complex" else np.float64)
+
+
+# ---------------------------------------------------------------------------
 # FROZEN REFERENCE: the per-vector uncertainty checker and extremal search as
 # they were before the batched kernel (``uncertainty_batch``: one
 # cross-coherence per frame pair, stacked analyses, one fsum per distinct

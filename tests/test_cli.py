@@ -1198,7 +1198,7 @@ def test_closed_stdout_pipe_exits_141_without_a_message(tmp_path):
 
 def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys):
     # the target pyproject names in [project.scripts], resolved as an
-    # installed console script resolves it, on the two commands of the CI's
+    # installed console script resolves it, on the commands of the CI's
     # "Installed entry point" step; tomllib is in the standard library from 3.11
     tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -1210,3 +1210,12 @@ def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["written"] == [str(frame)]
     assert entry(["validate", "--frame", str(frame)]) == 0
     assert json.loads(capsys.readouterr().out)["passes"] is True
+    big = [tmp_path / "h1.json", tmp_path / "h2.json"]
+    for path in big:
+        assert entry(["gen", "--kind", "harmonic", "--d", "32", "--N", "512", "--out", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["written"] == [str(path)]
+    assert big[0].read_bytes() == big[1].read_bytes()
+    assert entry(["validate", "--frame", str(big[0])]) == 0
+    assert json.loads(capsys.readouterr().out)["passes"] is True
+    assert entry(["coherence", "--frame", str(big[0])]) == 0
+    assert json.loads(capsys.readouterr().out)["gram_coherence"] > 0

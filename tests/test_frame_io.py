@@ -25,7 +25,7 @@ from framelab import (
     save_frame,
     weighted_split,
 )
-from framelab.frame_io import vector_to_obj
+from framelab.frame_io import vector_from_obj, vector_to_obj
 
 
 def test_round_trip_reproduces_every_double(zoo_frames, tmp_path):
@@ -218,6 +218,8 @@ def _hand_built_frames():
         MeasureSpace([0.1, 1e-300, 3.0, 0.5]), 3.0, cplx, -cplx, "complex"
     )
     yield "real_d1", PSchauderFrame(MeasureSpace([0.1]), 3.0, [[-0.0]], [[5e-324]], "real")
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0]])  # equal, but written apart
+    yield "signed_zeros", PSchauderFrame(MeasureSpace([1.0, 1.0]), 2.0, zeros, zeros[::-1], "real")
     yield "complex_d1", PSchauderFrame(
         MeasureSpace([0.1, 0.2]),
         1.5,
@@ -333,3 +335,199 @@ def test_vector_obj_matches_frozen_encoder(values, field):
     got, want = vector_to_obj(values, field), oracles.legacy_encode_values(values, field)
     assert got == want
     assert json.dumps(got) == json.dumps(want)
+
+
+# ------------------------------- writer on repeated values == frozen encoder
+
+# Doubles that repeat and differ only in sign or in their last bits, so the
+# writer's one decimal per distinct double meets equal and near-equal cells.
+_POOL = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.1]
+
+
+@st.composite
+def _pooled_frames(draw):
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 5))
+    field = draw(st.sampled_from(["real", "complex"]))
+    parts = 2 if field == "complex" else 1
+    cells = draw(st.lists(st.sampled_from(_POOL), min_size=2 * n * d * parts, max_size=2 * n * d * parts))
+    values = np.array(cells).reshape(2, n, d, parts)
+    tables = values.view(np.complex128)[..., 0] if field == "complex" else values[..., 0]
+    weights = draw(st.lists(st.sampled_from([5e-324, 0.1, 1.0]), min_size=n, max_size=n))
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    return PSchauderFrame(MeasureSpace(weights), p, tables[0], tables[1], field)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame=_pooled_frames())
+def test_writer_matches_oracle_on_repeated_and_signed_values(frame):
+    _assert_writer_matches_oracle(frame)
+    back = frame_from_obj(json.loads(frame_json(frame)))
+    for got, want in zip(
+        (back.space.weights, back.functionals, back.vectors), (frame.space.weights, frame.functionals, frame.vectors)
+    ):
+        assert got.tobytes() == want.tobytes()
+
+
+# --------------------------------------- reader == frozen per-cell reader
+
+# Cells, complex parts and atoms that a hand-edited or corrupted file may
+# hold.  The numeric strings and ``true`` load as complex parts, since
+# ``float`` reads them.
+_BAD_CELLS = [True, False, "1.0", "x", None, 10**400, -(10**400), {}, [], [[1.0, 0.0]], [1.0], [1.0, 0.0, 0.0]]
+_PARTS = [True, "1.0", "1_0", " 1 ", "١", "nan", "1e999", "x", None, 10**400, [1.0], {}, 3]
+_NUMERIC_PARTS = [True, "1.0", "1_0", " 1 ", "١", "-0", 3]
+_INTS = [3, -(2**60), 2**1023, 2**1100, 10**400]  # the last two overflow a double
+_NOT_OBJECTS = [1.0, [], "atom", None]
+
+
+def _rows(obj):
+    """(atom, key) of every row that is still a nonempty JSON array."""
+    atoms = obj.get("atoms")
+    if not isinstance(atoms, list):
+        return []
+    return [
+        (atom, key)
+        for atom in atoms
+        if isinstance(atom, dict)
+        for key in ("functional", "vector")
+        if isinstance(atom.get(key), list) and atom[key]
+    ]
+
+
+def _fault_cell(draw, row):
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+
+
+def _fault_part(draw, row, parts=_PARTS, numbers=_INTS):
+    """A complex part replaced by one of ``parts``, or a real cell by one of ``numbers``."""
+    i = draw(st.integers(0, len(row) - 1))
+    if isinstance(row[i], list) and len(row[i]) == 2:
+        row[i] = list(row[i])
+        row[i][draw(st.integers(0, 1))] = draw(st.sampled_from(parts))
+    else:
+        row[i] = draw(st.sampled_from(numbers))
+
+
+def _fault_loadable(draw, row):
+    _fault_part(draw, row, _NUMERIC_PARTS, _INTS[:3])
+
+
+def _fault_nest(draw, row):
+    i = draw(st.integers(0, len(row) - 1))
+    row[i] = [row[i]]
+
+
+def _fault_pair_length(draw, row):
+    i = draw(st.integers(0, len(row) - 1))
+    cell = row[i] if isinstance(row[i], list) else [row[i]]
+    row[i] = cell[:1] if draw(st.booleans()) else [*cell, 0.0]
+
+
+def _fault_short(draw, row):
+    del row[draw(st.integers(0, len(row) - 1)):]
+
+
+# loadable faults twice, so that about one frame object in seven still loads
+_ROW_FAULTS = [_fault_cell, _fault_part, _fault_loadable, _fault_loadable, _fault_nest, _fault_pair_length, _fault_short]
+
+
+@st.composite
+def _faulty_frame_objs(draw):
+    obj = frame_to_obj(draw(_random_frames()))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["row", "row", "row", "drop", "atom", "weight", "not-array", "top"]))
+        rows = _rows(obj)
+        atoms = [a for a in obj["atoms"] if isinstance(a, dict)] if isinstance(obj.get("atoms"), list) else []
+        if kind == "row" and rows:
+            atom, key = draw(st.sampled_from(rows))
+            draw(st.sampled_from(_ROW_FAULTS))(draw, atom[key])
+        elif kind == "drop" and atoms:
+            atom = draw(st.sampled_from(atoms))
+            atom.pop(draw(st.sampled_from(["weight", "functional", "vector"])), None)
+        elif kind == "atom" and isinstance(obj.get("atoms"), list):
+            obj["atoms"][draw(st.integers(0, len(obj["atoms"]) - 1))] = draw(st.sampled_from(_NOT_OBJECTS))
+        elif kind == "weight" and atoms:
+            draw(st.sampled_from(atoms))["weight"] = draw(st.sampled_from(_BAD_CELLS + [2]))
+        elif kind == "not-array" and atoms:
+            atom = draw(st.sampled_from(atoms))
+            atom[draw(st.sampled_from(["functional", "vector"]))] = draw(st.sampled_from([1.0, "x", {}, None]))
+        elif kind == "top":
+            key = draw(st.sampled_from(["p", "dimension", "field", "atoms"]))
+            obj[key] = draw(st.sampled_from([None, True, 2, 10**400, "real", "complex", [], 0]))
+    return obj
+
+
+@st.composite
+def _faulty_vectors(draw):
+    field = draw(st.sampled_from(["real", "complex"]))
+    values = draw(st.lists(_finite, min_size=2, max_size=10))
+    row = vector_to_obj(np.array(values).view(np.complex128) if field == "complex" and len(values) % 2 == 0
+                        else np.array(values), field)
+    for _ in range(draw(st.integers(1, 3))):
+        if not row:
+            break
+        draw(st.sampled_from(_ROW_FAULTS))(draw, row)
+    obj = row if draw(st.integers(0, 9)) else draw(st.sampled_from([1.0, "x", {}, None]))
+    return obj, field
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except Exception as exc:  # the outcome compared, refusal or not
+        return exc
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), (got, want)
+    if isinstance(want, PSchauderFrame):
+        assert (got.field, got.p, got.dimension) == (want.field, want.p, want.dimension)
+        for a, b in ((got.space.weights, want.space.weights), (got.functionals, want.functionals),
+                     (got.vectors, want.vectors)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_faulty_frame_objs())
+def test_reader_matches_frozen_per_cell_reader_on_faulty_objects(obj):
+    _assert_same_outcome(_outcome(frame_from_obj, obj), _outcome(oracles.legacy_frame_from_obj, obj))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_faulty_vectors())
+def test_vector_reader_matches_frozen_per_cell_reader(case):
+    obj, field = case
+    _assert_same_outcome(_outcome(vector_from_obj, obj, field), _outcome(oracles.legacy_vector_from_obj, obj, field))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [[10**400, 0.0], "x"],  # a bad part before a bad cell: the part decides
+        ["x", [10**400, 0.0]],
+        [[1.0, 0.0], [1.0, 0.0, 0.0]],
+        [[True, "1_0"], [" 1 ", "١"]],
+        [10**400, "x"],
+    ],
+    ids=["part-then-cell", "cell-then-part", "triple", "numeric-strings", "overflow-then-string"],
+)
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_first_malformed_cell_decides_as_in_the_frozen_reader(row, field):
+    obj = frame_to_obj(dft_pair(2)[1] if field == "complex" else mercedes_benz())
+    obj["atoms"][0]["vector"] = row
+    obj["atoms"][1]["functional"] = "not a row"  # a later refusal never wins
+    _assert_same_outcome(_outcome(frame_from_obj, obj), _outcome(oracles.legacy_frame_from_obj, obj))
+    _assert_same_outcome(_outcome(vector_from_obj, row, field), _outcome(oracles.legacy_vector_from_obj, row, field))
+
+
+def test_reader_loads_every_oracle_frame_to_the_frozen_readers_bits():
+    for name, frame in _oracle_frames():
+        obj = json.loads(frame_json(frame))
+        _assert_same_outcome(frame_from_obj(obj), oracles.legacy_frame_from_obj(obj))
