@@ -40,6 +40,7 @@ from .frame_io import (
 from .sparse import (
     ENUMERATION_GUARD,
     INFEASIBLE,
+    PLAN_GUARD,
     SOLVED,
     RecoveryReport,
     SparseProblem,

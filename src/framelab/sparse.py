@@ -50,6 +50,12 @@ from .frames import (
 # Largest number of candidate supports a solver call may enumerate.
 ENUMERATION_GUARD = 10_000_000
 
+# Most count vectors one plan may hold.  ``_Plan`` builds a row per count
+# vector before any support is screened, about 390-450 bytes each at its
+# tracemalloc peak (n = 10..17 distinct weights), so a plan at the guard
+# peaks near 60 MB; 2^17 admits 17 distinct weights.
+PLAN_GUARD = 1 << 17
+
 # Most entries of state in one block of supports, in the layers one tree
 # keeps with one walk's residuals, and in the memo of plans.
 _SCREEN_ENTRIES = 1 << 20
@@ -212,6 +218,8 @@ def _weight_plan(weights: np.ndarray, max_card: int | None) -> _Plan:
     The guard comes next, on every call: it sums C(n, k) for k up to that
     cap and refuses at the first partial total above ``ENUMERATION_GUARD``,
     so a refusal costs a few small integers and builds or stores nothing.
+    On a memo miss, ``_count_vectors`` then refuses a plan of more than
+    ``PLAN_GUARD`` count vectors, before any of it is built.
     """
     n = weights.size
     cap = n if max_card is None else int(max_card)
@@ -230,9 +238,33 @@ def _weight_plan(weights: np.ndarray, max_card: int | None) -> _Plan:
         if key in _PLANS:
             _PLANS.move_to_end(key)
             return _PLANS[key]
+        sizes = np.unique(weights, return_counts=True)[1].tolist()
+        if _count_vectors(sizes, cap) > PLAN_GUARD:
+            raise ResourceGuardError(
+                f"more than {PLAN_GUARD} count vectors of at most {cap} of {n} atoms "
+                f"in {len(sizes)} weight classes"
+            )
         plan = _PLANS[key] = _Plan(weights, cap)
         _admit(plan, 0)
     return plan
+
+
+def _count_vectors(sizes: list[int], cap: int) -> int:
+    """The number of count vectors of at most ``cap`` atoms over classes of
+    these sizes, or the first partial count above ``PLAN_GUARD``.
+
+    ``ways[t]`` counts the vectors over the classes so far with t atoms;
+    each class extends them by 0..size atoms, and totals above the cap are
+    dropped.  The count never falls as classes are added, so it stops at
+    the first class that takes it past the guard.
+    """
+    ways = [1] + [0] * cap
+    for m in sizes:
+        prefix = [0, *itertools.accumulate(ways)]
+        ways = [prefix[t + 1] - prefix[max(0, t - m)] for t in range(cap + 1)]
+        if sum(ways) > PLAN_GUARD:
+            break
+    return sum(ways)
 
 
 def _admit(plan: _Plan, size: int) -> None:

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -743,6 +744,24 @@ def test_sparse_guard_refuses_many_atoms_in_one_line(mode, wide_frame, capsys):
     assert code == 4
     assert out == ""
     assert err == "resource guard: more than 10000000 candidate supports of at most 20000 of 20000 atoms\n"
+
+
+def test_sparse_plan_guard_refuses_distinct_weights_in_kilobytes(tmp_path, capsys):
+    # 23 atoms pass the support guard (8.4M supports), but with 23 distinct
+    # weights the plan would hold 2^23 count vectors, about 3.4 GB
+    from framelab import MeasureSpace, PSchauderFrame
+
+    path = tmp_path / "distinct.json"
+    save_frame(PSchauderFrame(MeasureSpace(1.0 + np.arange(23) / 64), 2.0, np.ones((23, 1)), np.ones((23, 1))), path)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli("sparse", "--frame", str(path), "--target", "1", "--mode", "measure", capsys=capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (4, "")
+    assert err == "resource guard: more than 131072 count vectors of at most 23 of 23 atoms in 23 weight classes\n"
+    assert peak < 256_000
 
 
 # ------------------------------------------------------------ overflow

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -916,6 +917,121 @@ def test_branches_agree_when_complex_abs_overflows(eps):
     assert one_row == stacked == expected
     # with a finite peak the same frame is measured as usual: only the huge atom counts
     assert uncertainty_check(frame, frame, np.array([1.0, 0.0], dtype=complex)).supp_f == 1.0
+
+
+# ------------------------------------------------ the per-call reductions
+#
+# ``_finite_or_raise`` counts the finite entries, and ``_support`` and
+# ``support_measure`` read their peak at ``argmax``.  Each must decide, and
+# measure, exactly as ``np.isfinite(arr).all()`` and ``max`` did.
+
+_SPECIAL = [0.0, -0.0, 1.0, -2.5, 5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.sampled_from([(0,), (1,), (3,), (7,), (0, 3), (2, 0), (1, 1), (3, 4)]),
+    field=st.sampled_from(["real", "complex"]),
+    data=st.data(),
+)
+def test_finiteness_check_refuses_exactly_the_non_finite_arrays(shape, field, data):
+    size = math.prod(shape)
+    parts = st.lists(st.sampled_from(_SPECIAL), min_size=size, max_size=size)
+    arr = np.array(data.draw(parts), dtype=float).reshape(shape)
+    if field == "complex":
+        # set the parts one by one: re + 1j * im would turn 0 * inf into NaN
+        real = arr
+        arr = np.empty(shape, dtype=complex)
+        arr.real, arr.imag = real, np.array(data.draw(parts), dtype=float).reshape(shape)
+    finite = np.isfinite(arr).all()
+    try:
+        frames._finite_or_raise(arr, "entries")
+    except FrameError as exc:
+        assert not finite
+        assert str(exc) == "entries must be finite (no NaN/Inf)"
+    else:
+        assert finite
+
+
+# table and vector entries whose products tie, vanish, overflow to +-inf and
+# cancel to NaN (1.7e308 - 1.7e308 after overflow), and whose complex
+# moduli overflow with finite parts
+_TABLE = [0.0, 1.0, -1.0, 2.0, 1.7e308, -1.7e308]
+
+
+def _reduction_frame(draw, field):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    cells = st.lists(st.sampled_from(_TABLE), min_size=n * d, max_size=n * d)
+    table = np.array(draw(cells)).reshape(n, d)
+    if field == "complex":
+        table = table + 1j * np.array(draw(cells)).reshape(n, d)
+    weights = draw(st.lists(st.sampled_from([0.1, 1 / 3, 1.0, 2.0]), min_size=n, max_size=n))
+    return PSchauderFrame(MeasureSpace(weights), 2.0, table, np.ones((n, d)), field)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["real", "complex"]), eps=st.sampled_from([0.0, 1e-9, 0.5]), data=st.data())
+def test_support_reads_its_peak_as_the_frozen_copy_does(field, eps, data):
+    frame = _reduction_frame(data.draw, field)
+    x = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308]), min_size=frame.dimension,
+                                    max_size=frame.dimension)), dtype=frame.functionals.dtype)
+    if not x.any():
+        x[0] = 1.0  # x = 0 is refused before any support is measured
+    with np.errstate(all="ignore"):
+        got = _outcome(lambda: frames._support(frame, x, eps))
+        expected = _outcome(lambda: oracles.legacy_support_measure(analysis(frame, x), eps))
+    assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(["real", "complex"]), eps=st.sampled_from([0.0, 1e-9, 0.5]), data=st.data())
+def test_support_measure_reads_its_peak_as_the_frozen_copy_does(field, eps, data):
+    n = data.draw(st.integers(1, 8))
+    cells = st.lists(st.sampled_from(_TABLE), min_size=n, max_size=n)
+    values = np.array(data.draw(cells))
+    if field == "complex":
+        values = values + 1j * np.array(data.draw(cells))
+    weights = data.draw(st.lists(st.sampled_from([0.1, 1 / 3, 1.0, 2.0]), min_size=n, max_size=n))
+    c = CoefficientFunction(MeasureSpace(weights), values)
+    with np.errstate(all="ignore"):
+        assert _bits(support_measure(c, eps)) == _bits(oracles.legacy_support_measure(c, eps))
+
+
+def test_support_matches_the_frozen_copy_on_ties_nan_inf_and_annihilated_x():
+    # each case the two properties above draw, pinned on its own
+    one = MeasureSpace([1.0, 1 / 3, 0.1])
+    tie = PSchauderFrame(one, 2.0, [[2.0], [2.0], [0.0]], np.ones((3, 1)))
+    nan = PSchauderFrame(one, 2.0, [[1.7e308, -1.7e308], [1.0, 0.0], [0.0, 1.0]], np.ones((3, 2)))
+    inf = PSchauderFrame(one, 2.0, [[1.7e308, 1.7e308], [1.0, 0.0], [0.0, 1.0]], np.ones((3, 2)))
+    modulus = PSchauderFrame(one, 2.0, [[1.7e308, 1.7e308j], [1.0, 0.0], [0.0, 1.0]], np.ones((3, 2)), "complex")
+    annihilating = PSchauderFrame(one, 2.0, [[1.0, -1.0], [0.0, 0.0], [2.0, -2.0]], np.ones((3, 2)))
+    cases = [
+        (tie, [1.0], 1.0 + 1 / 3),  # the peak at two atoms
+        (nan, [1e308, 1e308], ("FrameError", "coefficients must be finite (no NaN/Inf)")),
+        (inf, [1e308, 1e308], ("FrameError", "coefficients must be finite (no NaN/Inf)")),
+        (modulus, [1.0, 1.0], 0.0),  # an inf peak keeps no atom
+        (annihilating, [1.0, 1.0], 0.0),
+    ]
+    for frame, x, expected in cases:
+        xv = np.array(x, dtype=frame.functionals.dtype)
+        for eps in (0.0, 1e-9):
+            with np.errstate(all="ignore"):
+                got = _outcome(lambda: frames._support(frame, xv, eps))
+                assert got == _outcome(lambda: oracles.legacy_support_measure(analysis(frame, xv), eps))
+            assert got == (expected if isinstance(expected, tuple) else _bits(expected))
+
+
+def test_a_non_finite_x_is_refused_before_any_product_warns():
+    # canonical_lp has zero entries, so a product with inf would compute
+    # 0 * inf and warn "invalid value encountered in matmul" first
+    frame = canonical_lp(3, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (uncertainty_check, lambda f, g, x: uncertainty_batch(f, g, [x])):
+            with pytest.raises(FrameError) as info:
+                call(frame, frame, np.array([np.inf, 1.0, 0.0]))
+            assert type(info.value) is FrameError
+            assert str(info.value) == "vector entries must be finite (no NaN/Inf)"
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-9])

@@ -461,10 +461,17 @@ def test_probe_guard():
         conjecture_probe(canonical_lp(25, 2.0), trials=1)
 
 
+def _distinct_weights_frame(n):
+    # n atoms on the line, each its own weight class: 2^n count vectors
+    return PSchauderFrame(MeasureSpace(1.0 + np.arange(n) / 64), 2.0, np.ones((n, 1)), np.ones((n, 1)))
+
+
 def _sparse_refusals():
     mb, guard = mercedes_benz(), sparse._PROBE_TRIALS_GUARD
     problem = SparseProblem(mb, np.array([1.0, 0.0]))
     cap = (FrameError, "max_card must lie in 0..n_atoms")
+    distinct = _distinct_weights_frame(23)
+    plan_guard = (ResourceGuardError, "more than 131072 count vectors of at most 23 of 23 atoms in 23 weight classes")
     return [
         # (label, call, (type, message))
         ("l0-max-card-negative", lambda: l0_brute_force(problem, max_card=-1), cap),
@@ -479,6 +486,9 @@ def _sparse_refusals():
         # the trials guard is arithmetic, checked before the support plan's
         ("probe-trials-guard-before-plan", lambda: conjecture_probe(harmonic_discretization(1, 5000), trials=10**20),
          (ResourceGuardError, f"trials {10**20} exceeds guard {guard}")),
+        # 8.4M supports pass the enumeration guard; 2^23 count vectors do not
+        ("measure-plan-guard", lambda: measure_min_brute_force(SparseProblem(distinct, np.ones(1))), plan_guard),
+        ("probe-plan-guard", lambda: conjecture_probe(distinct, trials=1), plan_guard),
     ]
 
 
@@ -489,6 +499,47 @@ def test_sparse_refusals_keep_their_type_and_message(case):
         call()
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+def test_the_plan_guard_refuses_in_kilobytes_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    problem = SparseProblem(_distinct_weights_frame(23), np.ones(1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="^more than 131072 count vectors of at most 23 of 23 atoms"):
+            measure_min_brute_force(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000
+    assert not sparse._PLANS
+    # a cap bounds the count vectors too: 1 + 23 + C(23, 2) + C(23, 3)
+    assert measure_min_brute_force(problem, max_card=3).status == "solved"
+
+
+def test_a_plan_at_the_plan_guard_still_builds(monkeypatch):
+    # the default admits 17 distinct weights (2^17 count vectors) and refuses 18
+    assert sparse._count_vectors([1] * 17, 17) == sparse.PLAN_GUARD == 1 << 17
+    assert sparse._count_vectors([1] * 18, 18) > sparse.PLAN_GUARD
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    monkeypatch.setattr(sparse, "PLAN_GUARD", 1 << 10)
+    at_guard = SparseProblem(_distinct_weights_frame(10), np.ones(1))
+    assert measure_min_brute_force(at_guard).support == (0,)
+    assert sum(len(cvs) for _, _, cvs in sparse._PLANS[(at_guard.frame.space.weights.tobytes(), 10)].levels) == 1 << 10
+    refused = "^more than 1024 count vectors of at most 11 of 11 atoms in 11 weight classes$"
+    with pytest.raises(ResourceGuardError, match=refused):
+        measure_min_brute_force(SparseProblem(_distinct_weights_frame(11), np.ones(1)))
+    assert len(sparse._PLANS) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=6), data=st.data())
+def test_count_vectors_are_counted_as_the_plan_builds_them(sizes, data):
+    cap = data.draw(st.integers(0, sum(sizes)))
+    weights = np.repeat(1.0 + np.arange(len(sizes)), sizes)
+    built = sum(len(cvs) for _, _, cvs in sparse._Plan(weights, cap).levels)
+    assert sparse._count_vectors(sizes, cap) == built
+    assert built == sum(1 for cv in itertools.product(*(range(m + 1) for m in sizes)) if sum(cv) <= cap)
 
 
 def test_probe_runs_at_its_trials_guard(monkeypatch):
