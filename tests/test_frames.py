@@ -939,10 +939,9 @@ def test_finiteness_check_refuses_exactly_the_non_finite_arrays(shape, field, da
     parts = st.lists(st.sampled_from(_SPECIAL), min_size=size, max_size=size)
     arr = np.array(data.draw(parts), dtype=float).reshape(shape)
     if field == "complex":
-        # set the parts one by one: re + 1j * im would turn 0 * inf into NaN
-        real = arr
-        arr = np.empty(shape, dtype=complex)
-        arr.real, arr.imag = real, np.array(data.draw(parts), dtype=float).reshape(shape)
+        # set the imaginary part in place: re + 1j * im would turn 0 * inf into NaN
+        arr = arr.astype(complex)
+        arr.imag = np.array(data.draw(parts), dtype=float).reshape(shape)
     finite = np.isfinite(arr).all()
     try:
         frames._finite_or_raise(arr, "entries")
@@ -973,8 +972,8 @@ def _reduction_frame(draw, field):
 @given(field=st.sampled_from(["real", "complex"]), eps=st.sampled_from([0.0, 1e-9, 0.5]), data=st.data())
 def test_support_reads_its_peak_as_the_frozen_copy_does(field, eps, data):
     frame = _reduction_frame(data.draw, field)
-    x = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308]), min_size=frame.dimension,
-                                    max_size=frame.dimension)), dtype=frame.functionals.dtype)
+    entries = st.lists(st.sampled_from([0.0, 1.0, -1.0, 1e308]), min_size=frame.dimension, max_size=frame.dimension)
+    x = np.array(data.draw(entries), dtype=frame.functionals.dtype)
     if not x.any():
         x[0] = 1.0  # x = 0 is refused before any support is measured
     with np.errstate(all="ignore"):
