@@ -445,7 +445,7 @@ def _faulty_frame_objs(draw):
         elif kind == "drop" and atoms:
             atom = draw(st.sampled_from(atoms))
             atom.pop(draw(st.sampled_from(["weight", "functional", "vector"])), None)
-        elif kind == "atom" and isinstance(obj.get("atoms"), list):
+        elif kind == "atom" and isinstance(obj.get("atoms"), list) and obj["atoms"]:  # a "top" fault may leave []
             obj["atoms"][draw(st.integers(0, len(obj["atoms"]) - 1))] = draw(st.sampled_from(_NOT_OBJECTS))
         elif kind == "weight" and atoms:
             draw(st.sampled_from(atoms))["weight"] = draw(st.sampled_from(_BAD_CELLS + [2]))
