@@ -19,9 +19,13 @@ The text layout is a fixed contract: it is exactly the bytes of
 ``json.dumps(frame_to_obj(frame), indent=2)`` (2-space indent, one scalar or
 bracket per line, ``float.__repr__`` decimals), and digests and saved files
 depend on every byte of it.  ``frame_json`` writes it directly, spelling each
-distinct double once.  The reader screens each row with whole-row passes and
-reads every number with ``float`` in one pass.  ``tests/test_frame_io.py``
-pins both against frozen per-scalar copies.
+distinct double once.
+
+The reader's ``object_pairs_hook`` (``_atom``) turns each atom's rows of
+doubles, or of ``[re, im]`` pairs of doubles, into float64 arrays as soon as
+JSON has parsed the atom.  Any other row stays as parsed, and ``_screen``
+reads it or refuses its first malformed cell.  ``tests/test_frame_io.py``
+pins the writer and the reader against frozen per-scalar copies.
 """
 
 from __future__ import annotations
@@ -54,35 +58,71 @@ def _decode_number(obj, what: str) -> float:
         raise FrameError(f"{what} is out of range") from None
 
 
-def _screen(obj, field: str, what: str, rows: list) -> int:
-    """Queue the JSON array ``obj`` on ``rows`` and return its length, or refuse its first malformed cell."""
-    if not isinstance(obj, list):
+class _Row(np.ndarray):
+    """A row read by ``_row``, shown as the JSON list it was parsed from, so
+    a refusal that quotes a parsed value quotes it as before."""
+
+    def __repr__(self):
+        return repr(self.tolist())
+
+
+def _row(obj):
+    """A row of doubles as a ``(d,)`` float64 ``_Row`` and a row of ``[re, im]``
+    pairs of doubles as a ``(d, 2)`` one; any other value as it is."""
+    if type(obj) is not list:
+        return obj
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        return np.fromiter(obj, np.float64, len(obj)).view(_Row)
+    if kinds == {list} and set(map(len, obj)) == {2} and set(map(type, chain.from_iterable(obj))) == {float}:
+        return np.fromiter(chain.from_iterable(obj), np.float64, 2 * len(obj)).reshape(-1, 2).view(_Row)
+    return obj
+
+
+def _atom(pairs: list) -> dict:
+    """A parsed JSON object, its rows read by ``_row`` as soon as they are
+    parsed, so a file's cells are never all held as Python objects."""
+    obj = dict(pairs)
+    for key in ("functional", "vector"):
+        if key in obj:
+            obj[key] = _row(obj[key])
+    return obj
+
+
+def _screen(obj, field: str, what: str) -> np.ndarray:
+    """The row ``obj`` (a JSON array, or the ``_Row`` the reader made of
+    one) as a float64 array, ``(d,)`` for a real field and ``(d, 2)`` for a
+    complex one, or refuse its first malformed cell."""
+    pairs = field == COMPLEX
+    if type(obj) is _Row:
+        if obj.ndim == 1 + pairs:
+            return obj.view(np.ndarray)
+        end = 0  # a row of the other field: its first cell is malformed
+    elif not isinstance(obj, list):
         raise FrameError(f"{what} must hold a JSON array")
-    pairs = field == COMPLEX
-    kinds = (list, tuple) if pairs else (int, float)
-    end = len(obj)
-    if not set(map(type, obj)) <= set(kinds) or pairs and not set(map(len, obj)) <= {2}:
-        bad = (isinstance(s, bool) or not isinstance(s, kinds) or pairs and len(s) != 2 for s in obj)
-        end = next((i for i, b in enumerate(bad) if b), end)
-    if end < len(obj):
-        _numbers([obj[:end]], field)  # a malformed number before the malformed cell is refused first
-        raise FrameError("complex scalars must be [re, im] pairs" if pairs else "a real scalar must be a plain number")
-    rows.append(obj)
-    return end
+    else:
+        kinds = (list, tuple) if pairs else (int, float)
+        end = len(obj)
+        if not set(map(type, obj)) <= set(kinds) or pairs and not set(map(len, obj)) <= {2}:
+            bad = (isinstance(s, bool) or not isinstance(s, kinds) or pairs and len(s) != 2 for s in obj)
+            end = next((i for i, b in enumerate(bad) if b), end)
+        values = _numbers(obj[:end], pairs)  # a malformed number before the malformed cell is refused first
+        if end == len(obj):
+            return values
+    raise FrameError("complex scalars must be [re, im] pairs" if pairs else "a real scalar must be a plain number")
 
 
-def _numbers(rows: list, field: str) -> np.ndarray:
-    """The queued cells as one array.  ``float`` keeps every file that loaded
-    before loading to the same bits (numeric strings such as "1.0" in complex
-    parts included), and of a plain number it can only overflow."""
-    pairs = field == COMPLEX
-    cells = chain.from_iterable(rows)
-    count = sum(map(len, rows)) * (1 + pairs)
+def _numbers(cells: list, pairs: bool) -> np.ndarray:
+    """Plain numbers, or pairs of parts, as a float64 array.  ``float`` keeps
+    every file that loaded before loading to the same bits (numeric strings
+    such as "1.0" in complex parts included), and of a plain number it can
+    only overflow."""
+    count = len(cells) * (1 + pairs)
     try:
         values = np.fromiter(map(float, chain.from_iterable(cells) if pairs else cells), np.float64, count)
     except (TypeError, ValueError, OverflowError) if pairs else OverflowError:
         raise FrameError("complex scalar parts must be numbers" if pairs else "a real scalar is out of range") from None
-    return values.view(np.complex128) if pairs else values
+    return values.reshape(-1, 2) if pairs else values
 
 
 def frame_to_obj(frame: PSchauderFrame) -> dict:
@@ -100,6 +140,9 @@ def frame_to_obj(frame: PSchauderFrame) -> dict:
 
 
 def frame_from_obj(obj) -> PSchauderFrame:
+    """The frame a JSON value describes, or ``FrameError`` for its first
+    fault: the top-level keys, then atom by atom (weight, functional,
+    vector), then the weights as a measure and ``p``."""
     if not isinstance(obj, dict):
         raise FrameError("frame file must hold a JSON object")
     missing = {"field", "p", "dimension", "atoms"} - obj.keys()
@@ -114,24 +157,22 @@ def frame_from_obj(obj) -> PSchauderFrame:
     atoms = obj["atoms"]
     if not isinstance(atoms, list) or not atoms:
         raise FrameError("frame file needs at least one atom")
-    # a malformed number queued before a refusal is refused first
     weights, rows = [], []
-    try:
-        for k, atom in enumerate(atoms):
-            if not isinstance(atom, dict):
-                raise FrameError(f"atom {k} must be an object")
-            try:
-                weights.append(_decode_number(atom["weight"], f"atom {k} weight"))
-                fun = _screen(atom["functional"], field, f"atom {k} functional", rows)
-                vec = _screen(atom["vector"], field, f"atom {k} vector", rows)
-            except KeyError as exc:
-                raise FrameError(f"atom {k} missing {exc}") from None
-            if fun != dim or vec != dim:
-                raise FrameError(f"atom {k} rows must have length {dim}")
-    except FrameError:
-        _numbers(rows, field)
-        raise
-    tables = _numbers(rows, field).reshape(len(atoms), 2, dim)
+    for k, atom in enumerate(atoms):
+        if not isinstance(atom, dict):
+            raise FrameError(f"atom {k} must be an object")
+        try:
+            weights.append(_decode_number(atom["weight"], f"atom {k} weight"))
+            rows.append(_screen(atom["functional"], field, f"atom {k} functional"))
+            rows.append(_screen(atom["vector"], field, f"atom {k} vector"))
+        except KeyError as exc:
+            raise FrameError(f"atom {k} missing {exc}") from None
+        if len(rows[-2]) != dim or len(rows[-1]) != dim:
+            raise FrameError(f"atom {k} rows must have length {dim}")
+    tables = np.concatenate(rows)
+    if field == COMPLEX:
+        tables = tables.view(np.complex128)
+    tables = tables.reshape(len(atoms), 2, dim)
     # both constructors keep their own copies
     return PSchauderFrame(
         space=MeasureSpace(weights),
@@ -176,7 +217,10 @@ def frame_json(frame: PSchauderFrame) -> str:
 def frame_digest(frame: PSchauderFrame) -> str:
     import hashlib  # only digests need it; keeps it out of every CLI start-up
 
-    return hashlib.sha256(frame_json(frame).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _text_pieces(frame):  # the whole text is never held
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def save_frame(frame: PSchauderFrame, path) -> None:
@@ -190,12 +234,16 @@ def read_json(path, what: str):
     text, not JSON, or nested deeper than the decoder can recurse raises
     ``FrameError``; an ``OSError`` is left to the caller."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=_atom)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FrameError(f"not a JSON {what} file: {exc}") from None
 
 
 def load_frame(path) -> PSchauderFrame:
+    """The frame in the file at ``path``, refused as ``frame_from_obj``
+    refuses its JSON value.  The file's cells are never all held as Python
+    objects, so a load's peak memory is about twice the file: its bytes and
+    its text, which the read holds together while decoding."""
     return frame_from_obj(read_json(path, "frame"))
 
 
@@ -210,5 +258,5 @@ def vector_to_obj(x: np.ndarray, field: str) -> list:
 
 
 def vector_from_obj(obj, field: str) -> np.ndarray:
-    _screen(obj, field, "vector file", [])
-    return _numbers([obj], field)
+    row = _screen(obj, field, "vector file")
+    return row.view(np.complex128)[:, 0] if field == COMPLEX else row

@@ -268,10 +268,17 @@ def _count_vectors(sizes: list[int], cap: int) -> int:
 
 
 def _admit(plan: _Plan, size: int) -> None:
-    """Count ``size`` more entries of ``plan`` before they are built, and evict until the memo fits."""
+    """Count ``size`` more entries of ``plan`` before they are built, then
+    evict other plans, least recently used first, until the memo fits.  A
+    plan larger than the whole memo is used but not stored."""
     plan.entries += size
-    while sum(p.entries for p in _PLANS.values()) > _SCREEN_ENTRIES:
-        _PLANS.popitem(last=False)
+    for key in [key for key, p in _PLANS.items() if p is plan and p.entries > _SCREEN_ENTRIES]:
+        del _PLANS[key]
+    total = sum(p.entries for p in _PLANS.values())
+    for key in [key for key, p in _PLANS.items() if p is not plan]:
+        if total <= _SCREEN_ENTRIES:
+            break
+        total -= _PLANS.pop(key).entries
 
 
 @dataclass(eq=False)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from framelab import FRAME_KINDS, default_specs, load_frame, mercedes_benz, save_frame
+from framelab import FRAME_KINDS, default_specs, frame_digest, load_frame, mercedes_benz, save_frame
 from framelab.cli import main
 
 
@@ -132,7 +133,11 @@ def test_gen_accepts_every_kind_spelling(kind, tmp_path, capsys):
         argv = ["gen", "--kind", spelling, *_gen_flags(GEN_REQUIRED[kind], str(base))]
         code, out, err = run_cli(*argv, "--out", str(tmp_path / f"{spelling}.json"), capsys=capsys)
         assert code == 0, (spelling, err)
-        assert len(json.loads(out)["written"]) == (2 if kind == "dft_pair" else 1)
+        written = [Path(path) for path in json.loads(out)["written"]]
+        assert len(written) == (2 if kind == "dft_pair" else 1)
+        for path in written:  # a digest hashes the saved text, less its last newline
+            text = path.read_bytes()
+            assert frame_digest(load_frame(path)) == hashlib.sha256(text.removesuffix(b"\n")).hexdigest()
 
 
 @pytest.mark.parametrize(

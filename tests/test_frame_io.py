@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -500,6 +501,38 @@ def test_reader_matches_frozen_per_cell_reader_on_faulty_objects(obj):
     _assert_same_outcome(_outcome(frame_from_obj, obj), _outcome(oracles.legacy_frame_from_obj, obj))
 
 
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("frame_files")
+
+
+@st.composite
+def _faulty_frame_files(draw):
+    """A faulty frame object's text, with or without indent, its top-level
+    and atom keys in a drawn order.  A top-level value may be an atom, whose
+    rows a refusal then quotes as parsed."""
+    obj = draw(_faulty_frame_objs())
+    atoms = [a for a in obj["atoms"] if isinstance(a, dict)] if isinstance(obj.get("atoms"), list) else []
+    if atoms and draw(st.integers(0, 4)) == 0:
+        obj[draw(st.sampled_from(["field", "p", "dimension"]))] = draw(st.sampled_from(atoms))
+    obj = {key: obj[key] for key in draw(st.permutations(list(obj)))}
+    order = draw(st.permutations(["weight", "functional", "vector"]))
+    if isinstance(obj.get("atoms"), list):
+        obj["atoms"] = [
+            {key: atom[key] for key in order if key in atom} if isinstance(atom, dict) else atom
+            for atom in obj["atoms"]
+        ]
+    return json.dumps(obj, indent=draw(st.sampled_from([None, 2])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_faulty_frame_files())
+def test_file_reader_matches_frozen_per_cell_reader_on_faulty_files(text, file_dir):
+    path = file_dir / "frame.json"
+    path.write_text(text)
+    _assert_same_outcome(_outcome(load_frame, path), _outcome(oracles.legacy_frame_from_obj, json.loads(text)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=_faulty_vectors())
 def test_vector_reader_matches_frozen_per_cell_reader(case):
@@ -531,3 +564,42 @@ def test_reader_loads_every_oracle_frame_to_the_frozen_readers_bits():
     for name, frame in _oracle_frames():
         obj = json.loads(frame_json(frame))
         _assert_same_outcome(frame_from_obj(obj), oracles.legacy_frame_from_obj(obj))
+
+
+# ------------------------------------------------- memory of a big frame file
+
+
+@pytest.fixture(scope="module")
+def big_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("big") / "harmonic_32x512.json"
+    save_frame(harmonic_discretization(32, 512), path)
+    return path
+
+
+def _peak(call, *args):
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_load_peaks_near_the_read_of_the_file(big_file):
+    # the read holds the file's bytes and its text together (2x the file);
+    # the cells are arrays as soon as each atom is parsed, so nothing of
+    # the JSON cell tree adds to that (it took 2.8x when held whole)
+    frame, peak = _peak(load_frame, big_file)
+    assert frame.n_atoms == 512
+    assert peak <= 2.25 * big_file.stat().st_size
+
+
+def test_the_digest_hashes_the_saved_text_piece_by_piece(big_file):
+    # the saved file is the digest's preimage plus a newline; hashed piece
+    # by piece, the whole text and its bytes are never held (2x the file)
+    frame = load_frame(big_file)
+    digest, peak = _peak(frame_digest, frame)
+    text = big_file.read_bytes()
+    assert text.endswith(b"\n")
+    assert digest == hashlib.sha256(text[:-1]).hexdigest()
+    assert peak <= 1.6 * len(text)

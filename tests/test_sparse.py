@@ -947,6 +947,22 @@ def test_the_memo_stays_within_its_entries_after_more_plans_than_fit(monkeypatch
     assert held < 2 * 8 * sparse._SCREEN_ENTRIES
 
 
+def test_a_plan_larger_than_the_memo_is_used_but_not_stored(monkeypatch):
+    # 15 distinct weights: 2^15 count vectors of 51 entries pass the memo's
+    # 2^20 entries on their own; admitting that plan once evicted every
+    # plan, itself included, so each repeat rebuilt it
+    monkeypatch.setattr(sparse, "_PLANS", OrderedDict())
+    assert l0_brute_force(SparseProblem(mercedes_benz(), np.array([1.0, 0.0]))).status == "solved"
+    (kept,) = sparse._PLANS.values()
+    distinct = SparseProblem(_distinct_weights_frame(15), np.ones(1))
+    first = _solution_bits(measure_min_brute_force(distinct))
+    assert list(sparse._PLANS.values()) == [kept]
+    assert _solution_bits(measure_min_brute_force(distinct)) == first
+    assert list(sparse._PLANS.values()) == [kept]
+    assert sparse._weight_plan(distinct.frame.space.weights, None).entries > sparse._SCREEN_ENTRIES
+    assert list(sparse._PLANS.values()) == [kept]
+
+
 def test_four_threads_on_one_shared_plan_give_the_serial_results(monkeypatch):
     # Every frame has unit weights, so both solvers and the probe share one
     # plan.  The threads start together on a cold memo and each runs every
