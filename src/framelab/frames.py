@@ -85,21 +85,30 @@ class MeasureSpace:
         _finite_or_raise(w, "weights")
         if np.any(w <= 0):
             raise FrameError("every atom weight must be strictly positive")
-        # every support weight is at most the total, so no later fsum overflows
-        try:
-            math.fsum(w)
-        except OverflowError:
-            raise FrameError("the total weight overflows a double") from None
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+        # every support weight is at most the total, so no later fsum overflows
+        try:
+            self.total_measure
+        except OverflowError:
+            raise FrameError("the total weight overflows a double") from None
 
     @property
     def n_atoms(self) -> int:
         return int(self.weights.size)
 
+    def measure(self, atoms) -> float:
+        """Total weight of the atoms a boolean mask, index list or slice
+        selects; every support weight is totalled here.  ``math.fsum`` is
+        correctly rounded (the exact sum, rounded once, in any order), so
+        splitting an atom into parts that sum exactly to its weight leaves the
+        measure of the matching atom sets bit-identical.  It sums Python
+        floats, which cost less than numpy scalars and give the same bits."""
+        return math.fsum(self.weights[atoms].tolist())
+
     @property
     def total_measure(self) -> float:
-        return math.fsum(self.weights)
+        return self.measure(slice(None))
 
     @property
     def is_counting(self) -> bool:
@@ -301,8 +310,7 @@ def _support(frame: PSchauderFrame, xv: np.ndarray, eps: float) -> float:
         return 0.0
     if not math.isfinite(peak):
         _finite_or_raise(coeffs, "coefficients")
-    # fsum of Python floats, not numpy scalars: the same sum, at less cost
-    return math.fsum(frame.space.weights[mags > eps * peak].tolist())
+    return frame.space.measure(mags > eps * peak)
 
 
 def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> list[float]:
@@ -310,9 +318,9 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
 
     One row is ``_support`` itself: the stacked branch's fixed cost is
     larger than a whole one-row check.  With several weight classes
-    ``math.fsum`` runs once per distinct mask, so split weights stay
-    bit-exact and repeated masks cost nothing extra; with one class each row
-    measures its atom count times the weight.
+    ``MeasureSpace.measure`` runs once per distinct mask, so repeated masks
+    cost nothing extra; with one class each row measures its atom count
+    times the weight, the bits that ``measure`` gives.
     """
     if len(rows) == 1:
         return [_support(frame, rows[0], eps)]
@@ -331,7 +339,7 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
         # IEEE product of the exact integer c by w: the same bits.
         return (masks.sum(axis=1) * w).tolist()
     keys = [mask.tobytes() for mask in masks]
-    sums = {key: math.fsum(weights[mask].tolist()) for key, mask in dict(zip(keys, masks)).items()}
+    sums = {key: frame.space.measure(mask) for key, mask in dict(zip(keys, masks)).items()}
     return [sums[key] for key in keys]
 
 
@@ -341,13 +349,12 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     invariant under scaling the whole coefficient function; an identically
     zero function has support measure 0.
 
-    Weights are totalled with correctly rounded summation, so atom splits
-    whose parts sum exactly to the original weight leave the result
-    bit-identical.
+    Weights are totalled by ``MeasureSpace.measure``, so atom splits whose
+    parts sum exactly to the original weight leave the result bit-identical.
     """
     _check_tolerance("eps", eps)
     mags = np.abs(coeffs.values)
-    return math.fsum(coeffs.space.weights[mags > eps * mags[mags.argmax()]].tolist())
+    return coeffs.space.measure(mags > eps * mags[mags.argmax()])
 
 
 def _same_space(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:

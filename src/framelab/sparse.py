@@ -192,7 +192,7 @@ def _padded_solution(
         status=SOLVED,
         support=nonzero,
         support_cardinality=len(nonzero),
-        support_weight=math.fsum(frame.space.weights[list(nonzero)].tolist()),
+        support_weight=frame.space.measure(list(nonzero)),
         residual=residual,
         unique=unique,
         coefficients=CoefficientFunction(frame.space, values),
@@ -317,15 +317,11 @@ class _Plan:
     """
 
     def __init__(self, weights: np.ndarray, cap: int):
-        classes: dict[float, list[int]] = {}
-        for i, w in enumerate(weights.tolist()):
-            classes.setdefault(w, []).append(i)
-        self.members = list(classes.values())
-        number = {w: j for j, w in enumerate(classes)}
-        self.class_of = np.array([number[w] for w in weights.tolist()], dtype=np.intp)
+        values, self.class_of = np.unique(weights, return_inverse=True)
+        self.members = [np.flatnonzero(self.class_of == j).tolist() for j in range(values.size)]
         # (count vector, summands) rows in itertools.product order, none above cap
         rows = [((), ())]
-        for v, m in zip(classes, self.members):
+        for v, m in zip(values.tolist(), self.members):
             rows = [(cv + (c,), t + (v,) * c) for cv, t in rows for c in range(min(len(m), cap - len(t)) + 1)]
         groups: dict[tuple[float, int], list[tuple[int, ...]]] = {}
         for cv, t in rows:
@@ -418,8 +414,8 @@ def _expand(members: list[list[int]], count_vectors, rows: int):
 
 
 class _Tree:
-    """One frame's screen over the layers of a memoised ``_Plan``, which
-    every tree of that plan shares.
+    """One frame's screen over its synthesis columns ``cols`` (which ``_walk``
+    fits on) and the layers of a memoised ``_Plan``, shared by its trees.
 
     Every support of 0 < k < d atoms has an orthonormal basis of its columns
     and a flag that is false on degenerate rows, and each walk carries the
@@ -441,7 +437,7 @@ class _Tree:
     """
 
     def __init__(self, plan: _Plan, cols: np.ndarray):
-        self.plan, self.d = plan, cols.shape[0]
+        self.plan, self.cols, self.d = plan, cols, cols.shape[0]
         self.atoms = np.ascontiguousarray(cols.T)
         # 1%, squared: while each new atom keeps more of its norm off the
         # parent's span, the bound stays within 1e-13 * |t| of the stacked-QR
@@ -547,26 +543,23 @@ class _Tree:
         return bound
 
 
-def _walk(problem: SparseProblem, plan) -> SparseSolution:
+def _walk(problem: SparseProblem, tree: _Tree) -> SparseSolution:
     """Shared exhaustive search of both solvers and every probe trial.
 
-    Visits the levels of a ``_Plan`` in order, reading each one from its
-    layer in a ``_Tree`` when it is reached; ``plan`` may be such a tree,
-    built over the problem's frame, to share its bases between walks.  The
-    search stops after the last level of the first weight that has a fit;
-    ``unique`` is true when no second support of that weight also fits.
-    Every support the screen keeps is decided, in order, by the exact
-    ``_restricted_fit``.
+    Visits the levels of the tree's plan in order, each read from the tree
+    built over the problem's frame when it is reached; the probe's trials
+    share one tree and so its bases.  The search stops after the last level
+    of the first weight that has a fit; ``unique`` is true when no second
+    support of that weight also fits.  Every support the screen keeps is
+    decided, in order, by the exact ``_restricted_fit``.
     """
     frame, target = problem.frame, problem.target
     tol = problem.resolved_tolerance()
     bar = 2.0 * tol + 1e-9 * problem.norm
-    cols = _synthesis_columns(frame)
-    tree = plan if isinstance(plan, _Tree) else _Tree(plan, cols)
     first = None
     for objective, survivors in tree.levels(target, bar):
         for support in survivors:
-            coeff, residual = _restricted_fit(cols, support, problem)
+            coeff, residual = _restricted_fit(tree.cols, support, problem)
             if residual <= tol:
                 if first is not None:
                     return _padded_solution(frame, *first, unique=False)
@@ -585,7 +578,8 @@ def l0_brute_force(problem: SparseProblem, max_card: int | None = None) -> Spars
     true when no other support of the same cardinality also fits.  Only
     supports of at most ``max_card`` atoms (None: all n) are searched.
     """
-    return _walk(problem, _weight_plan(np.ones(problem.frame.n_atoms), max_card))
+    plan = _weight_plan(np.ones(problem.frame.n_atoms), max_card)
+    return _walk(problem, _Tree(plan, _synthesis_columns(problem.frame)))
 
 
 def measure_min_brute_force(problem: SparseProblem, max_card: int | None = None) -> SparseSolution:
@@ -597,7 +591,8 @@ def measure_min_brute_force(problem: SparseProblem, max_card: int | None = None)
     most ``max_card`` atoms (None: all n) are searched.  Reduces to
     ``l0_brute_force`` under counting measure.
     """
-    return _walk(problem, _weight_plan(problem.frame.space.weights, max_card))
+    plan = _weight_plan(problem.frame.space.weights, max_card)
+    return _walk(problem, _Tree(plan, _synthesis_columns(problem.frame)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -690,8 +685,8 @@ def conjecture_probe(
     if trials > _PROBE_TRIALS_GUARD:
         raise ResourceGuardError(f"trials {trials} exceeds guard {_PROBE_TRIALS_GUARD}")
     rng = _seeded_rng(seed)
-    n, w = frame.n_atoms, frame.space.weights
-    plan = _weight_plan(w, None)
+    n = frame.n_atoms
+    plan = _weight_plan(frame.space.weights, None)
     coh_all = gram_coherence(frame)
     coh_distinct = _distinct_vector_coherence(frame)
     thr_all = uniqueness_threshold(coh_all)
@@ -706,7 +701,7 @@ def conjecture_probe(
         values[list(support)] = _standard_normal(rng, len(support), frame.field)
         target = synthesis(frame, CoefficientFunction(frame.space, values))
         solution = _walk(SparseProblem(frame, target, eps_residual), tree)
-        weight = math.fsum(w[list(support)].tolist())
+        weight = frame.space.measure(list(support))
         records.append({
             "trial": t,
             "planted_support": list(support),

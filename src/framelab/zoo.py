@@ -57,9 +57,8 @@ def signed_permutation(d: int, p: float, permutation=None, signs=None) -> PSchau
     dtype = np.complex128 if field == COMPLEX else np.float64
     vectors = np.zeros((d, d), dtype=dtype)
     functionals = np.zeros((d, d), dtype=dtype)
-    for i in range(d):
-        vectors[i, perm[i]] = sgn[i]
-        functionals[i, perm[i]] = np.conj(sgn[i])
+    vectors[np.arange(d), perm] = sgn
+    functionals[np.arange(d), perm] = np.conj(sgn)
     return PSchauderFrame(counting_measure(d), p, functionals, vectors, field)
 
 
@@ -130,11 +129,6 @@ def mercedes_benz() -> PSchauderFrame:
     return PSchauderFrame(counting_measure(3), 2.0, vectors, vectors, REAL)
 
 
-def _isometry_gram(frame: PSchauderFrame) -> np.ndarray:
-    f = frame.functionals
-    return f.conj().T @ (frame.space.weights[:, None] * f)
-
-
 def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> PSchauderFrame:
     """Replace the vector family by another dual of the same functionals.
 
@@ -152,7 +146,8 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
         raise FrameError("no nontrivial dual exists without redundancy (need n > d)")
     if not np.allclose(frame.functionals, np.conj(frame.vectors), atol=1e-12):
         raise FrameError("input must pair each vector with its conjugate functional")
-    if np.max(np.abs(_isometry_gram(frame) - np.eye(d))) > 1e-8:
+    f = frame.functionals
+    if np.max(np.abs(f.conj().T @ (frame.space.weights[:, None] * f) - np.eye(d))) > 1e-8:
         raise FrameError("input vector family is not norm-preserving")
 
     # Kernel of weighted synthesis: columns u with functionals^T W u = 0.

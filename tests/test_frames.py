@@ -60,6 +60,33 @@ def test_measure_space_refuses_a_total_weight_that_overflows():
     assert MeasureSpace(np.array([1e308, 1e307])).total_measure == 1.1e308
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    weights=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=8),
+    splits=st.lists(st.tuples(st.integers(0, 100), st.sampled_from([2, 3, 5])), max_size=2),
+    data=st.data(),
+)
+def test_measure_is_the_correctly_rounded_sum_and_ignores_splits(weights, splits, data):
+    # ``MeasureSpace.measure`` is the one place support weights are totalled:
+    # a mask and its index list give the bits of fsum over Python floats, and
+    # atoms split (once or twice over) leave the measure of the matching atom
+    # sets, the split copies of each selected atom included, bit-identical.
+    n = len(weights)
+    base = PSchauderFrame(MeasureSpace(weights), 2.0, np.ones((n, 1)), np.ones((n, 1)))
+    split, owner = base, np.arange(n)
+    for atom, parts in splits:
+        atom %= split.n_atoms
+        split = weighted_split(split, atom, parts)
+        owner = np.concatenate([owner[:atom], np.repeat(owner[atom], parts), owner[atom + 1 :]])
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    for space, selected in ((base.space, mask), (split.space, mask[owner])):
+        expected = _bits(math.fsum(space.weights[selected].tolist()))
+        assert _bits(space.measure(selected)) == expected
+        assert _bits(space.measure(np.flatnonzero(selected).tolist())) == expected
+    assert _bits(split.space.measure(mask[owner])) == _bits(base.space.measure(mask))
+    assert _bits(split.space.total_measure) == _bits(base.space.total_measure)
+
+
 def _construction_refusals():
     space = counting_measure(2)
     eye = np.eye(2)
