@@ -373,8 +373,11 @@ def cross_coherence(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> tuple[f
     reciprocal bound is then undefined, and ``FrameError`` when either is not
     finite (a pairing overflows), since a bound of 0 would pass every vector,
     or when either reciprocal bound overflows, since it would fail every one.
+    Two (n_f, n_g) tables beyond ``VALIDATION_GUARD`` scalars are refused
+    before they are allocated.
     """
     _same_space(frame_f, frame_g)
+    _check_table_guard(frame_f.n_atoms, frame_g.n_atoms)
     with np.errstate(over="ignore", invalid="ignore"):
         coh_fg = float(np.abs(frame_f.functionals @ frame_g.vectors.T).max())
         coh_gf = float(np.abs(frame_g.functionals @ frame_f.vectors.T).max())
@@ -511,8 +514,10 @@ def uncertainty_check(
 
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
 # dimension) for ``validate_frame``, count x dimension for ``random_vectors``,
-# and atoms x dimension for each table a zoo constructor sizes from its integer
-# arguments.  At 10^7 a complex table takes 160 MB; larger requests are
+# atoms x dimension for each table a zoo constructor sizes from its integer
+# arguments, and the tables that grow with the atom count: the pairing tables
+# of ``cross_coherence``, ``gram_coherence``'s Gram, ``alternate_dual``'s SVD
+# and each ``extremal_search`` chunk.  At 10^7 a complex table takes 160 MB; larger requests are
 # refused before anything is allocated.  ``validate_frame`` holds one such
 # (trials x n_atoms) table, beside its (trials x dimension) draw and rebuild
 # and one row block of at most ``_VALIDATION_BLOCK`` scalars.
@@ -570,8 +575,12 @@ def _standard_normal(rng: np.random.Generator, shape, field: str) -> np.ndarray:
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
     """(count, dimension) array of i.i.d. standard normal entries; complex
     entries are standard complex normal.  Deterministic per seed.  Refuses
-    tables beyond ``VALIDATION_GUARD`` scalars."""
+    tables beyond ``VALIDATION_GUARD`` scalars, then a negative count or
+    dimension."""
     _check_table_guard(count, dimension)
+    for name, value in (("dimension", dimension), ("count", count)):
+        if value < 0:
+            raise FrameError(f"{name} must be nonnegative, got {value}")
     return _standard_normal(_seeded_rng(seed), (count, dimension), field)
 
 
@@ -705,7 +714,9 @@ def extremal_search(
     checks them, and only the chunk's first minimal row gets a full report.
     The result is the same as checking the candidates one by one, bit for
     bit.  The pair's exponent, dimension and field are checked once, before
-    any candidate is drawn.
+    any candidate is drawn, and then a chunk's size: min(EXTREMAL_CHUNK,
+    budget) rows of max(n_f, n_g, d) scalars beyond ``VALIDATION_GUARD``
+    are refused.
     """
     _same_exponent(frame_f, frame_g)
     _same_space(frame_f, frame_g)
@@ -717,6 +728,7 @@ def extremal_search(
     cap = n if max_card is None else min(int(max_card), n)
     if cap < 1:
         raise FrameError("max_card must be at least 1")
+    _check_table_guard(min(EXTREMAL_CHUNK, budget), max(frame_f.n_atoms, n, frame_g.dimension))
 
     candidates = _extremal_candidates(frame_g, cap, _seeded_rng(seed), 10 * budget)
     dtype = frame_g.vectors.dtype

@@ -41,6 +41,7 @@ from .frames import (
     PSchauderFrame,
     ResourceGuardError,
     _as_input_vector,
+    _check_table_guard,
     _check_tolerance,
     _seeded_rng,
     _standard_normal,
@@ -130,12 +131,14 @@ def gram_coherence(frame: PSchauderFrame, normalized: bool = False) -> float:
     applied unless ``normalized`` is set (classical statements assume unit
     atoms; the flag enables that comparison, skipping zero atoms, and
     refuses an atom whose norm overflows).  Orthogonal families return 0,
-    which callers should treat as an unbounded sparsity threshold.
+    which callers should treat as an unbounded sparsity threshold.  An
+    (n, n) Gram beyond ``VALIDATION_GUARD`` scalars is refused first.
     """
     if frame.n_atoms < 2:
         raise FrameError("coherence needs at least two atoms")
     if frame.p != 2.0:
         raise FrameError("coherence uses the Hilbert pairing; p must be 2")
+    _check_table_guard(frame.n_atoms, frame.n_atoms)
     v = frame.vectors
     # an overflowing diagonal entry is dropped below; it must not warn
     with np.errstate(over="ignore", invalid="ignore"):

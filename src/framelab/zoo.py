@@ -138,6 +138,8 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     seeded random element of the kernel of weighted synthesis, so
     reconstruction is untouched while the vector family itself generally
     stops being norm-preserving.  ``scale = 0`` returns the input frame.
+    After these checks, an SVD whose (n, n) factor exceeds
+    ``VALIDATION_GUARD`` scalars is refused before it is taken.
     """
     if frame.p != 2.0:
         raise FrameError("alternate duals are built for p = 2 only")
@@ -149,6 +151,7 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     f = frame.functionals
     if np.max(np.abs(f.conj().T @ (frame.space.weights[:, None] * f) - np.eye(d))) > 1e-8:
         raise FrameError("input vector family is not norm-preserving")
+    _check_table_guard(n, n)
 
     # Kernel of weighted synthesis: columns u with functionals^T W u = 0.
     a = frame.functionals.T * frame.space.weights
@@ -193,12 +196,16 @@ def weighted_split(frame: PSchauderFrame, atom: int, parts: int = 2) -> PSchaude
 def picket_fence(d: int) -> np.ndarray:
     """Spike train with period sqrt(d): entry j is 1 when sqrt(d) divides j.
 
-    Requires d to be a perfect square; this vector attains equality of the
-    support-product bound against the Fourier pair.
+    Requires d to be a perfect square of at least 1; this vector attains
+    equality of the support-product bound against the Fourier pair.
+    Refuses d beyond ``VALIDATION_GUARD`` before allocating.
     """
+    if d < 1:
+        raise FrameError("dimension must be at least 1")
     m = int(np.sqrt(d))
     if m * m != d:
         raise FrameError("picket fence needs a perfect-square dimension")
+    _check_table_guard(1, d)
     x = np.zeros(d)
     x[::m] = 1.0
     return x

@@ -751,6 +751,25 @@ def test_sparse_guard_refuses_many_atoms_in_one_line(mode, wide_frame, capsys):
     assert err == "resource guard: more than 10000000 candidate supports of at most 20000 of 20000 atoms\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coherence", "--frame", "{wide}"],
+        ["coherence", "--frame", "{wide}", "--frame-g", "{wide}"],
+        ["check", "--frame-f", "{wide}", "--frame-g", "{wide}", "--x", "1"],
+        ["gen", "--kind", "alternate-dual", "--base", "{wide}", "--out", "{out}"],
+    ],
+    ids=["coherence", "cross-coherence", "check", "alternate-dual"],
+)
+def test_tables_quadratic_in_the_atom_count_are_refused_in_one_line(argv, wide_frame, tmp_path, capsys):
+    # a Gram, two pairing tables or an SVD factor of 20,000^2 scalars
+    out = tmp_path / "dual.json"
+    code, stdout, err = run_cli(*(a.format(wide=wide_frame, out=out) for a in argv), capsys=capsys)
+    assert (code, stdout) == (4, "")
+    assert err == "resource guard: 20000 x 20000 = 400000000 scalars exceeds guard 10000000\n"
+    assert not out.exists()
+
+
 def test_sparse_plan_guard_refuses_distinct_weights_in_kilobytes(tmp_path, capsys):
     # 23 atoms pass the support guard (8.4M supports), but with 23 distinct
     # weights the plan would hold 2^23 count vectors, about 3.4 GB
@@ -1243,3 +1262,8 @@ def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["passes"] is True
     assert entry(["coherence", "--frame", str(big[0])]) == 0
     assert json.loads(capsys.readouterr().out)["gram_coherence"] > 0
+    wide = tmp_path / "wide.json"
+    assert entry(["gen", "--kind", "harmonic", "--d", "1", "--N", "4000", "--out", str(wide)]) == 0
+    assert json.loads(capsys.readouterr().out)["written"] == [str(wide)]
+    assert entry(["coherence", "--frame", str(wide)]) == 4
+    assert capsys.readouterr() == ("", "resource guard: 4000 x 4000 = 16000000 scalars exceeds guard 10000000\n")

@@ -19,6 +19,7 @@ from framelab import (
     MeasureSpace,
     PSchauderFrame,
     ResourceGuardError,
+    alternate_dual,
     analysis,
     canonical_lp,
     counting_measure,
@@ -27,6 +28,7 @@ from framelab import (
     dft_pair,
     extremal_search,
     frames,
+    gram_coherence,
     harmonic_discretization,
     mercedes_benz,
     picket_fence,
@@ -503,6 +505,56 @@ def test_validation_guard_refuses_before_allocating():
         random_vectors(2, VALIDATION_GUARD // 2 + 1, "complex")
 
 
+@pytest.mark.parametrize("dimension, count", [(3, -1), (-2, 3), (-2, -1)])
+def test_random_vectors_refuses_a_negative_size(dimension, count):
+    # the product of the two passes the table guard; numpy would then raise
+    # its own ValueError
+    with pytest.raises(FrameError) as info:
+        random_vectors(dimension, count)
+    assert type(info.value) is FrameError
+    name, value = ("dimension", dimension) if dimension < 0 else ("count", count)
+    assert str(info.value) == f"{name} must be nonnegative, got {value}"
+
+
+def _quadratic_tables():
+    # (label, call, n) for the tables that grow with the atom count; each
+    # input is built outside the traced call
+    wide, wider = harmonic_discretization(1, 4000), harmonic_discretization(1, 40000)
+    return [
+        ("gram", lambda: gram_coherence(wide), (4000, 4000)),
+        ("cross", lambda: cross_coherence(wide, wide), (4000, 4000)),
+        ("check", lambda: uncertainty_check(wide, wide, [1.0]), (4000, 4000)),
+        ("batch", lambda: uncertainty_batch(wide, wide, np.ones((2, 1))), (4000, 4000)),
+        ("alternate-dual", lambda: alternate_dual(wide), (4000, 4000)),
+        ("extremal", lambda: extremal_search(harmonic_discretization(1, 1), wider), (256, 40000)),
+    ]
+
+
+@pytest.mark.parametrize("label", [label for label, _, _ in _quadratic_tables()])
+def test_tables_that_grow_with_the_atom_count_are_refused_before_allocating(label):
+    # at 16-24 B a scalar these would take 0.25-0.4 GB; refused in kilobytes
+    call, (rows, cols) = next((call, shape) for name, call, shape in _quadratic_tables() if name == label)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError) as info:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{rows} x {cols} = {rows * cols} scalars exceeds guard {VALIDATION_GUARD}"
+    assert peak < 1 << 20
+
+
+def test_a_refused_pair_caches_no_coherence_and_x_0_still_wins():
+    wide = harmonic_discretization(1, 4000)
+    for _ in range(2):
+        with pytest.raises(ResourceGuardError):
+            uncertainty_check(wide, wide, [1.0])
+        assert wide not in frames._COHERENCE
+    with pytest.raises(FrameError, match="^theorem excludes x = 0$"):
+        uncertainty_check(wide, wide, [0.0])
+
+
 # ``validate_frame`` sums its powers in row blocks and scales its one
 # analysis table in place; ``oracles.legacy_validate_frame`` holds three
 # whole tables.  The reports must agree bit for bit.
@@ -804,6 +856,16 @@ def _extremal_error_cases():
          (ResourceGuardError, f"budget {frames.EXTREMAL_BUDGET_GUARD + 1} exceeds guard "
                               f"{frames.EXTREMAL_BUDGET_GUARD}")),
         ("max-card-0", (real2, real2), {"max_card": 0}, (FrameError, "max_card must be at least 1")),
+    ]
+    # a chunk of min(256, budget) candidates over 40,000 atoms of either
+    # frame is refused, after max_card
+    one, wide = harmonic_discretization(1, 1), harmonic_discretization(1, 40000)
+    chunk = (ResourceGuardError, f"256 x 40000 = 10240000 scalars exceeds guard {VALIDATION_GUARD}")
+    cases += [
+        ("chunk-guard", (one, wide), {"budget": 1000}, chunk),
+        ("chunk-guard/swapped", (wide, one), {"budget": 1000}, chunk),
+        ("chunk-guard/max-card-0", (one, wide), {"budget": 1000, "max_card": 0},
+         (FrameError, "max_card must be at least 1")),
     ]
     half = PSchauderFrame(counting_measure(2), 2.0, [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     other_half = PSchauderFrame(counting_measure(2), 2.0, [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])

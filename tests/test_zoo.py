@@ -289,6 +289,11 @@ def _zoo_refusals():
         ("permutation-sign-count", lambda: signed_permutation(3, 2.0, signs=(1.0, -1.0)),
          "one unimodular sign per atom required"),
         ("harmonic-0-0", lambda: harmonic_discretization(0, 0), "dimension must be at least 1"),
+        # numpy's "slice step cannot be zero", and a NaN square root, before
+        ("picket-0", lambda: picket_fence(0), "dimension must be at least 1"),
+        ("picket-negative", lambda: picket_fence(-4), "dimension must be at least 1"),
+        ("picket-not-square-beyond-guard", lambda: picket_fence(10**10 + 1),
+         "picket fence needs a perfect-square dimension"),
     ]
 
 
@@ -299,6 +304,13 @@ def test_zoo_refusals_keep_their_type_and_message(case):
         call()
     assert type(info.value) is FrameError
     assert str(info.value) == message
+
+
+def test_picket_fence_beyond_the_table_guard_is_refused_before_allocating():
+    # 10^10 is a perfect square, and its vector would take 80 GB
+    with pytest.raises(ResourceGuardError) as info:
+        picket_fence(10**10)
+    assert str(info.value) == f"1 x {10**10} = {10**10} scalars exceeds guard {VALIDATION_GUARD}"
 
 
 # ---------------------------------------------------------- weighted split
