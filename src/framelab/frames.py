@@ -515,12 +515,12 @@ def uncertainty_check(
 # Hard cap on the scalars any one table may hold: trials x max(n_atoms,
 # dimension) for ``validate_frame``, count x dimension for ``random_vectors``,
 # atoms x dimension for each table a zoo constructor sizes from its integer
-# arguments, and the tables that grow with the atom count: the pairing tables
-# of ``cross_coherence``, ``gram_coherence``'s Gram, ``alternate_dual``'s SVD
-# and each ``extremal_search`` chunk.  At 10^7 a complex table takes 160 MB; larger requests are
-# refused before anything is allocated.  ``validate_frame`` holds one such
-# (trials x n_atoms) table, beside its (trials x dimension) draw and rebuild
-# and one row block of at most ``_VALIDATION_BLOCK`` scalars.
+# arguments, and each table that grows with the atom count (pairings, Grams,
+# ``alternate_dual``'s SVD, ``extremal_search`` chunks, ``picket_fence``).  At
+# 10^7 a complex table takes 160 MB; larger requests are refused before
+# anything is allocated.  ``validate_frame`` holds one such (trials x n_atoms)
+# table, beside its (trials x dimension) draw and rebuild and one row block of
+# at most ``_VALIDATION_BLOCK`` scalars.
 VALIDATION_GUARD = 10_000_000
 
 # Scalars per row block of ``validate_frame``'s elementwise work: 2^16, so a

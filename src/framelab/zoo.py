@@ -138,8 +138,7 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     seeded random element of the kernel of weighted synthesis, so
     reconstruction is untouched while the vector family itself generally
     stops being norm-preserving.  ``scale = 0`` returns the input frame.
-    After these checks, an SVD whose (n, n) factor exceeds
-    ``VALIDATION_GUARD`` scalars is refused before it is taken.
+    An (n, n) SVD factor beyond ``VALIDATION_GUARD`` scalars is refused last.
     """
     if frame.p != 2.0:
         raise FrameError("alternate duals are built for p = 2 only")
@@ -154,7 +153,7 @@ def alternate_dual(frame: PSchauderFrame, seed: int = 0, scale: float = 1.0) -> 
     _check_table_guard(n, n)
 
     # Kernel of weighted synthesis: columns u with functionals^T W u = 0.
-    a = frame.functionals.T * frame.space.weights
+    a = f.T * frame.space.weights
     _, _, vh = np.linalg.svd(a)
     null_basis = vh[d:].conj().T                           # (n, n-d)
     mix = _gaussian(_seeded_rng(seed), (n - d, d), frame.field)

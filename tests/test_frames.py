@@ -517,23 +517,23 @@ def test_random_vectors_refuses_a_negative_size(dimension, count):
 
 
 def _quadratic_tables():
-    # (label, call, n) for the tables that grow with the atom count; each
-    # input is built outside the traced call
-    wide, wider = harmonic_discretization(1, 4000), harmonic_discretization(1, 40000)
+    # (label, call, table shape) for the tables that grow with the atom
+    # count; each input is built here, outside the traced call
+    one, wide, wider = (harmonic_discretization(1, n) for n in (1, 4000, 40000))
     return [
         ("gram", lambda: gram_coherence(wide), (4000, 4000)),
         ("cross", lambda: cross_coherence(wide, wide), (4000, 4000)),
         ("check", lambda: uncertainty_check(wide, wide, [1.0]), (4000, 4000)),
         ("batch", lambda: uncertainty_batch(wide, wide, np.ones((2, 1))), (4000, 4000)),
         ("alternate-dual", lambda: alternate_dual(wide), (4000, 4000)),
-        ("extremal", lambda: extremal_search(harmonic_discretization(1, 1), wider), (256, 40000)),
+        ("extremal", lambda: extremal_search(one, wider), (256, 40000)),
     ]
 
 
-@pytest.mark.parametrize("label", [label for label, _, _ in _quadratic_tables()])
-def test_tables_that_grow_with_the_atom_count_are_refused_before_allocating(label):
+@pytest.mark.parametrize("case", _quadratic_tables(), ids=lambda c: c[0])
+def test_tables_that_grow_with_the_atom_count_are_refused_before_allocating(case):
     # at 16-24 B a scalar these would take 0.25-0.4 GB; refused in kilobytes
-    call, (rows, cols) = next((call, shape) for name, call, shape in _quadratic_tables() if name == label)
+    _, call, (rows, cols) = case
     tracemalloc.start()
     try:
         with pytest.raises(ResourceGuardError) as info:

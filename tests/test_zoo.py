@@ -289,7 +289,7 @@ def _zoo_refusals():
         ("permutation-sign-count", lambda: signed_permutation(3, 2.0, signs=(1.0, -1.0)),
          "one unimodular sign per atom required"),
         ("harmonic-0-0", lambda: harmonic_discretization(0, 0), "dimension must be at least 1"),
-        # numpy's "slice step cannot be zero", and a NaN square root, before
+        # d < 1 is refused before numpy sees it (a zero slice step, a NaN root)
         ("picket-0", lambda: picket_fence(0), "dimension must be at least 1"),
         ("picket-negative", lambda: picket_fence(-4), "dimension must be at least 1"),
         ("picket-not-square-beyond-guard", lambda: picket_fence(10**10 + 1),
