@@ -196,9 +196,8 @@ def cmd_check(args) -> int:
     report = uncertainty_check(frame_f, frame_g, x, eps=args.eps)
     row = {"schema_version": SCHEMA_VERSION, **vars(report)}
     if args.format == "csv":
-        # repr, not json.dumps, for floats: a non-finite bound reads "inf"
         print(",".join(row))
-        print(",".join(repr(v) if isinstance(v, float) else json.dumps(v) for v in row.values()))
+        print(",".join(map(json.dumps, row.values())))
     else:
         _emit(row)
     return EXIT_OK

@@ -376,22 +376,14 @@ class _Plan:
         return _Layer(supports, parent, label, rows, binomials)
 
 
-def _einsum_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...j,...j->...", a.conj(), b)
-
-
-# conj(a) . b along the last axis, broadcasting; np.vecdot needs numpy 2
-_rowdot = getattr(np, "vecdot", _einsum_rowdot)
-
-
 def _squared_norms(rows: np.ndarray) -> np.ndarray:
     flat = rows.view(np.float64)  # a complex row as its real and imaginary parts
-    return _rowdot(flat, flat)
+    return np.vecdot(flat, flat)
 
 
 def _project(residual: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Each row's residual without its component along the row's unit vector q."""
-    return residual - q * _rowdot(q, residual)[:, None]
+    return residual - q * np.vecdot(q, residual)[:, None]
 
 
 def _expand(members: list[list[int]], count_vectors, rows: int):
@@ -524,7 +516,7 @@ class _Tree:
         v = self.atoms[atoms]
         for i in range(basis.shape[1]):
             q = basis[:, i]
-            v -= q * _rowdot(q, v)[:, None]
+            v -= q * np.vecdot(q, v)[:, None]
         off = _squared_norms(v)
         independent = independent & (off > self.floor[atoms])
         q = v * (independent / np.sqrt(off))[:, None]  # NaN only on degenerate rows
@@ -647,11 +639,10 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
     """Variant of the raw coherence that skips index pairs whose vectors are
     bit-identical (as produced by atom splitting)."""
     v = frame.vectors
-    distinct = np.triu(~(v[:, None] == v[None]).all(-1), 1)
-    best = 0.0
-    for j, k in zip(*np.nonzero(distinct)):  # every j < k, row by row
-        best = max(best, float(np.abs(np.vdot(v[k], v[j]))))
-    return best
+    j, k = np.nonzero(np.triu(~(v[:, None] == v[None]).all(-1), 1))
+    # an overflowing pairing also overflows the Gram, whose coherence the probe refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(np.vecdot(v[k], v[j])).max(initial=0.0))
 
 
 def _planted_pool(plan: _Plan, threshold: float) -> list[tuple[int, ...]]:

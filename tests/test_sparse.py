@@ -699,16 +699,6 @@ def test_engine_matches_frozen_per_support_solvers(name):
 
 
 @pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
-def test_engine_matches_frozen_solvers_with_the_numpy_1_row_products(name, monkeypatch):
-    # pyproject allows numpy >= 1.24, and np.vecdot exists only from numpy 2:
-    # the same equivalence with every row product spelled as on numpy 1
-    calls = []
-    monkeypatch.setattr(sparse, "_rowdot", lambda a, b: calls.append(1) or sparse._einsum_rowdot(a, b))
-    test_engine_matches_frozen_per_support_solvers(name)
-    assert calls
-
-
-@pytest.mark.parametrize("name", sorted(ENGINE_FRAMES))
 def test_capped_solvers_match_exhaustive_oracle(name):
     # the lightest (l0: smallest) fits among the supports of at most cap atoms
     frame = ENGINE_FRAMES[name]
