@@ -18,8 +18,8 @@ between the two families; it costs one count of x's finite entries, then
 per frame one matrix-vector product, one ``argmax`` and one ``fsum``.
 ``uncertainty_batch`` does the same for the rows of an (m, d) array in one
 pass of stacked products, with the same bits and the same errors as
-checking each row on its own.  Both take the
-pair's cross-coherence from a per-pair memo: it is computed by
+checking each row on its own, bar a guard on its coefficient tables.
+Both take the pair's cross-coherence from a per-pair memo: it is computed by
 ``cross_coherence`` the first time a pair of frame objects is checked and
 kept, under weak references, for as long as both frames live (frames are
 immutable).  Reports are frozen values of five floats, and equal ones are
@@ -421,13 +421,15 @@ def _batch_supports(
     frame_f: PSchauderFrame, frame_g: PSchauderFrame, X, eps: float
 ) -> tuple[tuple[float, float], list[float], list[float]]:
     """The pair's cross-coherences and both support measures of every row
-    of X, checked as ``uncertainty_batch`` checks them."""
+    of X, checked as ``uncertainty_batch`` checks them; the (m, n_f) and
+    (m, n_g) coefficient tables are guarded last."""
     _same_exponent(frame_f, frame_g)
     rows = _as_input_rows(frame_f, X)
     if not rows.any(axis=1).all():
         raise FrameError("theorem excludes x = 0")
     coh = _pair_coherence(frame_f, frame_g)
     _check_tolerance("eps", eps)
+    _check_table_guard(len(rows), max(frame_f.n_atoms, frame_g.n_atoms))
     return coh, _support_measures(frame_f, rows, eps), _support_measures(frame_g, rows, eps)
 
 
@@ -467,7 +469,8 @@ def uncertainty_batch(
     once (and remembered for the lifetime of the two frames), and each
     analysis is one stacked product.  Report i equals, bit for bit,
     ``uncertainty_check(frame_f, frame_g, X[i], eps)``; any zero row is
-    rejected like x = 0 there.
+    rejected like x = 0 there.  After those checks, m rows of more than
+    ``VALIDATION_GUARD`` / max(n_f, n_g) scalars are refused.
     """
     coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, X, eps)
     return [_memo_report(frame_f.p, *coh, supp_f, supp_g) for supp_f, supp_g in zip(supps_f, supps_g)]
@@ -716,7 +719,10 @@ def extremal_search(
     bit.  The pair's exponent, dimension and field are checked once, before
     any candidate is drawn, and then a chunk's size: min(EXTREMAL_CHUNK,
     budget) rows of max(n_f, n_g, d) scalars beyond ``VALIDATION_GUARD``
-    are refused.
+    are refused, and then the pair's (n_f, n_g) pairing tables, as
+    ``cross_coherence`` refuses them.  So a pair beyond that guard gets the
+    guard's refusal even when every candidate synthesizes to zero or the
+    first chunk overflows.
     """
     _same_exponent(frame_f, frame_g)
     _same_space(frame_f, frame_g)
@@ -729,6 +735,7 @@ def extremal_search(
     if cap < 1:
         raise FrameError("max_card must be at least 1")
     _check_table_guard(min(EXTREMAL_CHUNK, budget), max(frame_f.n_atoms, n, frame_g.dimension))
+    _check_table_guard(frame_f.n_atoms, n)
 
     candidates = _extremal_candidates(frame_g, cap, _seeded_rng(seed), 10 * budget)
     dtype = frame_g.vectors.dtype

@@ -71,6 +71,11 @@ _LOCK = threading.Lock()
 # keeps at most about 20 MB of records on the frames measured (n = 3..14).
 _PROBE_TRIALS_GUARD = 10_000
 
+# Most supports one probe may plant from.  ``_planted_pool`` holds each as a
+# tuple, about 460 bytes at its tracemalloc peak (n = 12..16), so a pool at
+# the guard peaks near 57 MB, the scale ``PLAN_GUARD`` admits.
+_PROBE_POOL_GUARD = 1 << 17
+
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
 
@@ -647,10 +652,15 @@ def _distinct_vector_coherence(frame: PSchauderFrame) -> float:
 
 def _planted_pool(plan: _Plan, threshold: float) -> list[tuple[int, ...]]:
     """The plan's nonempty supports of total weight below ``threshold``, by
-    cardinality then lexicographic order."""
-    levels = (_expand(plan.members, cvs, _SCREEN_ENTRIES) for weight, k, cvs in plan.levels if k and weight < threshold)
-    light = [s for blocks in levels for block in blocks for s in map(tuple, block.tolist())]
-    return sorted(light, key=lambda s: (len(s), s))
+    cardinality then lexicographic order.  Their number is counted first from
+    the count vectors, the product over classes of C(class size, count), and
+    more than ``_PROBE_POOL_GUARD`` are refused before any is built."""
+    light = [cvs for weight, k, cvs in plan.levels if k and weight < threshold]
+    size = sum(math.prod(map(math.comb, map(len, plan.members), cv)) for cvs in light for cv in cvs)
+    if size > _PROBE_POOL_GUARD:
+        raise ResourceGuardError(f"{size} light supports exceed guard {_PROBE_POOL_GUARD}")
+    blocks = (block for cvs in light for block in _expand(plan.members, cvs, _SCREEN_ENTRIES))
+    return sorted((s for block in blocks for s in map(tuple, block.tolist())), key=lambda s: (len(s), s))
 
 
 def conjecture_probe(
@@ -669,7 +679,9 @@ def conjecture_probe(
     frame inline for replay (one shared ``frame_to_obj`` dict).
     The returned report is a plain JSON-serializable dict and is a pure
     function of (frame, trials, seed, eps_residual).  More than
-    ``_PROBE_TRIALS_GUARD`` trials are refused before anything is planned.
+    ``_PROBE_TRIALS_GUARD`` trials are refused before anything is planned,
+    and a pool of more than ``_PROBE_POOL_GUARD`` light supports before any
+    is built.
     """
     _check_tolerance("eps_residual", eps_residual)
     if frame.p != 2.0:

@@ -770,6 +770,24 @@ def test_tables_quadratic_in_the_atom_count_are_refused_in_one_line(argv, wide_f
     assert not out.exists()
 
 
+def test_extremal_refuses_the_pairing_tables_in_one_line(wide_frame, capsys):
+    # refused before the first 256 x 20,000 candidate chunk is built
+    code, out, err = run_cli("extremal", "--frame-f", str(wide_frame), "--frame-g", str(wide_frame), capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "resource guard: 20000 x 20000 = 400000000 scalars exceeds guard 10000000\n"
+
+
+def test_probe_pool_guard_is_one_line(tmp_path, capsys):
+    # coherence 0: every one of the 2^18 - 1 supports is light
+    from framelab import canonical_lp
+
+    path = tmp_path / "canonical18.json"
+    save_frame(canonical_lp(18, 2.0), path)
+    code, out, err = run_cli("probe", "--frame", str(path), "--trials", "1", capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "resource guard: 262143 light supports exceed guard 131072\n"
+
+
 def test_sparse_plan_guard_refuses_distinct_weights_in_kilobytes(tmp_path, capsys):
     # 23 atoms pass the support guard (8.4M supports), but with 23 distinct
     # weights the plan would hold 2^23 count vectors, about 3.4 GB

@@ -560,6 +560,25 @@ def test_first_malformed_cell_decides_as_in_the_frozen_reader(row, field):
     _assert_same_outcome(_outcome(vector_from_obj, row, field), _outcome(oracles.legacy_vector_from_obj, row, field))
 
 
+@pytest.mark.parametrize(
+    "field, row, message",
+    [
+        ("complex", [1.0, 0.0], "complex scalars must be [re, im] pairs"),
+        ("real", [[1.0, 0.0], [0.0, 1.0]], "a real scalar must be a plain number"),
+    ],
+)
+def test_a_file_row_of_the_other_field_is_refused_as_in_the_frozen_reader(field, row, message, tmp_path):
+    # the file reader parses a well-formed row of either field into an array
+    # before it knows the frame's field; that row is then refused at its first cell
+    obj = frame_to_obj(dft_pair(2)[1] if field == "complex" else mercedes_benz())
+    obj["atoms"][0]["functional"] = row
+    path = tmp_path / "frame.json"
+    path.write_text(json.dumps(obj))
+    got = _outcome(load_frame, path)
+    _assert_same_outcome(got, _outcome(oracles.legacy_frame_from_obj, obj))
+    assert (type(got), str(got)) == (FrameError, message)
+
+
 def test_reader_loads_every_oracle_frame_to_the_frozen_readers_bits():
     for name, frame in _oracle_frames():
         obj = json.loads(frame_json(frame))

@@ -555,6 +555,42 @@ def test_a_refused_pair_caches_no_coherence_and_x_0_still_wins():
         uncertainty_check(wide, wide, [0.0])
 
 
+def _traced_refusal(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError) as info:
+            call()
+        return str(info.value), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_coefficient_tables_are_refused_before_allocating():
+    # the pairing tables are 3000 x 1, but 4,000 rows against 3,000 atoms
+    # would take (4000, 3000) coefficient tables; X is built outside the trace
+    wide, one, X = harmonic_discretization(1, 3000), harmonic_discretization(1, 1), np.ones((4000, 1))
+    message, peak = _traced_refusal(lambda: uncertainty_batch(wide, one, X))
+    assert message == f"4000 x 3000 = 12000000 scalars exceeds guard {VALIDATION_GUARD}"
+    assert peak < 1 << 20
+    # every earlier refusal keeps its place: x = 0, then eps
+    with pytest.raises(FrameError, match="^theorem excludes x = 0$"):
+        uncertainty_batch(wide, one, np.zeros((4000, 1)))
+    with pytest.raises(FrameError, match="^eps must be nonnegative$"):
+        uncertainty_batch(wide, one, X, eps=-1.0)
+
+
+def test_extremal_refuses_the_pairing_tables_before_its_first_chunk():
+    # a chunk of 256 x 10,000 scalars passes its guard, the 10,000^2 pairing
+    # tables do not; an all-zero second family, whose candidates all vanish,
+    # gets the same refusal
+    wide = harmonic_discretization(1, 10000)
+    zero = PSchauderFrame(counting_measure(10000), 2.0, np.ones((10000, 1)), np.zeros((10000, 1)), "complex")
+    for frame_g in (wide, zero):
+        message, peak = _traced_refusal(lambda: extremal_search(wide, frame_g))
+        assert message == f"10000 x 10000 = 100000000 scalars exceeds guard {VALIDATION_GUARD}"
+        assert peak < 1 << 20
+
+
 # ``validate_frame`` sums its powers in row blocks and scales its one
 # analysis table in place; ``oracles.legacy_validate_frame`` holds three
 # whole tables.  The reports must agree bit for bit.

@@ -547,6 +547,41 @@ def test_probe_runs_at_its_trials_guard(monkeypatch):
     assert conjecture_probe(mercedes_benz(), trials=3)["trials_run"] == 3
 
 
+def _pool_guard_frames():
+    # coherence 0 plants from all 2^n - 1 supports; the others from the
+    # supports below a finite threshold, over one or several weight classes
+    return [canonical_lp(6, 2.0), weighted_split(canonical_lp(5, 2.0), 2, 3), mercedes_benz(),
+            weighted_split(mercedes_benz(), 1, 2), weighted_split(random_parseval(3, 7, seed=4), 0, 3)]
+
+
+@pytest.mark.parametrize(
+    "frame", _pool_guard_frames(), ids=["canonical", "canonical-split", "mb", "mb-split", "parseval-split"]
+)
+def test_the_pool_guard_counts_the_pool_it_would_build(frame, monkeypatch):
+    plan = sparse._weight_plan(frame.space.weights, None)
+    size = len(sparse._planted_pool(plan, uniqueness_threshold(gram_coherence(frame))))
+    assert size
+    monkeypatch.setattr(sparse, "_PROBE_POOL_GUARD", size)
+    assert conjecture_probe(frame, trials=2)["trials_run"] == 2
+    monkeypatch.setattr(sparse, "_PROBE_POOL_GUARD", size - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError) as info:
+            conjecture_probe(frame, trials=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == f"{size} light supports exceed guard {size - 1}"
+    assert peak < 256_000
+
+
+def test_the_default_pool_guard_refuses_an_18_atom_canonical_frame():
+    # all 2^18 - 1 supports are light: about 120 MB of tuples if built
+    assert sparse._PROBE_POOL_GUARD == 1 << 17
+    with pytest.raises(ResourceGuardError, match="^262143 light supports exceed guard 131072$"):
+        conjecture_probe(canonical_lp(18, 2.0), trials=1)
+
+
 # ------------------------------------------- engine vs frozen per-support path
 
 
