@@ -469,8 +469,8 @@ def uncertainty_batch(
     once (and remembered for the lifetime of the two frames), and each
     analysis is one stacked product.  Report i equals, bit for bit,
     ``uncertainty_check(frame_f, frame_g, X[i], eps)``; any zero row is
-    rejected like x = 0 there.  After those checks, m rows of more than
-    ``VALIDATION_GUARD`` / max(n_f, n_g) scalars are refused.
+    rejected like x = 0 there.  After those checks, m rows of max(n_f, n_g)
+    scalars beyond ``VALIDATION_GUARD`` are refused.
     """
     coh, supps_f, supps_g = _batch_supports(frame_f, frame_g, X, eps)
     return [_memo_report(frame_f.p, *coh, supp_f, supp_g) for supp_f, supp_g in zip(supps_f, supps_g)]

@@ -72,8 +72,9 @@ _LOCK = threading.Lock()
 _PROBE_TRIALS_GUARD = 10_000
 
 # Most supports one probe may plant from.  ``_planted_pool`` holds each as a
-# tuple, about 460 bytes at its tracemalloc peak (n = 12..16), so a pool at
-# the guard peaks near 57 MB, the scale ``PLAN_GUARD`` admits.
+# tuple, about 180 bytes at its tracemalloc peak (n = 12..18), so a pool at
+# the guard peaks near 23 MiB, and a one-trial probe of 2^17 - 1 supports
+# near 38 MiB, within the scale ``PLAN_GUARD`` admits.
 _PROBE_POOL_GUARD = 1 << 17
 
 SOLVED = "solved"
