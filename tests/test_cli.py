@@ -778,7 +778,8 @@ def test_extremal_refuses_the_pairing_tables_in_one_line(wide_frame, capsys):
 
 
 def test_probe_pool_guard_is_one_line(tmp_path, capsys):
-    # coherence 0: every one of the 2^18 - 1 supports is light
+    # coherence 0: every one of the 2^18 - 1 supports is light, and the
+    # default guard admits 2^17
     from framelab import canonical_lp
 
     path = tmp_path / "canonical18.json"

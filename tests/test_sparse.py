@@ -575,13 +575,6 @@ def test_the_pool_guard_counts_the_pool_it_would_build(frame, monkeypatch):
     assert peak < 256_000
 
 
-def test_the_default_pool_guard_refuses_an_18_atom_canonical_frame():
-    # all 2^18 - 1 supports are light: about 120 MB of tuples if built
-    assert sparse._PROBE_POOL_GUARD == 1 << 17
-    with pytest.raises(ResourceGuardError, match="^262143 light supports exceed guard 131072$"):
-        conjecture_probe(canonical_lp(18, 2.0), trials=1)
-
-
 # ------------------------------------------- engine vs frozen per-support path
 
 
