@@ -90,8 +90,7 @@ def _parse_inline_vector(text: str) -> np.ndarray:
 
 
 def _load_vector(inline: str | None, path: str | None, field: str) -> np.ndarray:
-    if (inline is None) == (path is None):
-        raise FrameError("provide the vector inline or as a file, not both")
+    # the parser requires exactly one of the two
     if inline is not None:
         return _parse_inline_vector(inline)
     return frame_io.vector_from_obj(frame_io.read_json(path, "vector"), field)
@@ -323,8 +322,9 @@ def _build_parser() -> _Parser:
     chk = sub.add_parser("check", help="support-uncertainty report for one vector and two frames")
     chk.add_argument("--frame-f", required=True)
     chk.add_argument("--frame-g", required=True)
-    chk.add_argument("--x", help="inline vector: comma-separated reals or re:im pairs")
-    chk.add_argument("--x-file", help="JSON array file")
+    x = chk.add_mutually_exclusive_group(required=True)
+    x.add_argument("--x", help="inline vector: comma-separated reals or re:im pairs")
+    x.add_argument("--x-file", help="JSON array file")
     chk.add_argument("--eps", type=float, default=SUPPORT_EPS)
     chk.add_argument("--format", choices=["json", "csv"], default="json")
     chk.set_defaults(func=cmd_check)
@@ -344,8 +344,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sparse", help="exact sparse recovery (count or weight minimal)")
     sp.add_argument("--frame", required=True)
-    sp.add_argument("--target", help="inline vector")
-    sp.add_argument("--target-file", help="JSON array file")
+    target = sp.add_mutually_exclusive_group(required=True)
+    target.add_argument("--target", help="inline vector")
+    target.add_argument("--target-file", help="JSON array file")
     sp.add_argument("--mode", choices=["l0", "measure"], default="l0")
     sp.add_argument("--max-card", type=int, default=None)
     sp.add_argument("--eps-residual", type=float, default=None)

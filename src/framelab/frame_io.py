@@ -10,9 +10,11 @@ Layout::
     }
 
 Real scalars are plain numbers; complex scalars are two-element arrays
-``[re, im]``.  Doubles survive a write/read cycle bit-identically because the
-writer emits shortest round-trip decimals.  One conversion, ``_cells``, turns
-scalar tables into these JSON cells for the writer, ``frame_to_obj`` and
+``[re, im]``.  Every number in a file (weight, ``p``, cell or part) is a
+JSON integer or fraction that fits a double, never a boolean or a string.
+Doubles survive a write/read cycle bit-identically because the writer emits
+shortest round-trip decimals.  One conversion, ``_cells``, turns scalar
+tables into these JSON cells for the writer, ``frame_to_obj`` and
 ``vector_to_obj``.
 
 The text layout is a fixed contract: it is exactly the bytes of
@@ -23,9 +25,11 @@ distinct double once.
 
 The reader's ``object_pairs_hook`` (``_atom``) turns each atom's rows of
 doubles, or of ``[re, im]`` pairs of doubles, into float64 arrays as soon as
-JSON has parsed the atom.  Any other row stays as parsed, and ``_screen``
-reads it or refuses its first malformed cell.  ``tests/test_frame_io.py``
-pins the writer and the reader against frozen per-scalar copies.
+JSON has parsed the atom.  ``_screen`` does the same for the rows of a
+Python-built object or a vector file, and decodes any other row cell by
+cell, so its first malformed cell decides the refusal.
+``tests/test_frame_io.py`` pins the writer and the reader against frozen
+per-scalar copies.
 """
 
 from __future__ import annotations
@@ -94,35 +98,27 @@ def _screen(obj, field: str, what: str) -> np.ndarray:
     one) as a float64 array, ``(d,)`` for a real field and ``(d, 2)`` for a
     complex one, or refuse its first malformed cell."""
     pairs = field == COMPLEX
-    if type(obj) is _Row:
-        if obj.ndim == 1 + pairs:
-            return obj.view(np.ndarray)
-        end = 0  # a row of the other field: its first cell is malformed
-    elif not isinstance(obj, list):
+    row = _row(obj)
+    if type(row) is _Row:
+        if row.ndim == 1 + pairs:
+            return row.view(np.ndarray)
+        row = row.tolist()  # a row of the other field: its first cell is malformed
+    elif not isinstance(row, list):
         raise FrameError(f"{what} must hold a JSON array")
-    else:
-        kinds = (list, tuple) if pairs else (int, float)
-        end = len(obj)
-        if not set(map(type, obj)) <= set(kinds) or pairs and not set(map(len, obj)) <= {2}:
-            bad = (isinstance(s, bool) or not isinstance(s, kinds) or pairs and len(s) != 2 for s in obj)
-            end = next((i for i, b in enumerate(bad) if b), end)
-        values = _numbers(obj[:end], pairs)  # a malformed number before the malformed cell is refused first
-        if end == len(obj):
-            return values
-    raise FrameError("complex scalars must be [re, im] pairs" if pairs else "a real scalar must be a plain number")
+    return np.array([_cell(s, pairs) for s in row], np.float64).reshape((-1, 2) if pairs else -1)
 
 
-def _numbers(cells: list, pairs: bool) -> np.ndarray:
-    """Plain numbers, or pairs of parts, as a float64 array.  ``float`` keeps
-    every file that loaded before loading to the same bits (numeric strings
-    such as "1.0" in complex parts included), and of a plain number it can
-    only overflow."""
-    count = len(cells) * (1 + pairs)
+def _cell(obj, pairs: bool):
+    """A real cell as a double, or a complex one as its ``[re, im]`` doubles;
+    every number in either is judged as ``_decode_number`` judges it."""
+    if not pairs:
+        return _decode_number(obj, "a real scalar")
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise FrameError("complex scalars must be [re, im] pairs")
     try:
-        values = np.fromiter(map(float, chain.from_iterable(cells) if pairs else cells), np.float64, count)
-    except (TypeError, ValueError, OverflowError) if pairs else OverflowError:
-        raise FrameError("complex scalar parts must be numbers" if pairs else "a real scalar is out of range") from None
-    return values.reshape(-1, 2) if pairs else values
+        return [_decode_number(part, "a complex scalar part") for part in obj]
+    except FrameError:
+        raise FrameError("complex scalar parts must be numbers") from None
 
 
 def frame_to_obj(frame: PSchauderFrame) -> dict:

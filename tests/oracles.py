@@ -199,8 +199,10 @@ def legacy_frame_json(frame):
 # rows and read every number in one pass: one Python call per cell, in file
 # order, so the first malformed cell decides the refusal.  test_frame_io.py
 # requires the reader to refuse exactly when this one does, with the same
-# message, and otherwise to load the same bits.  Only the error type and the
-# MeasureSpace/PSchauderFrame constructors are taken from framelab.
+# message, and otherwise to load the same bits.  A complex part follows the
+# rule of a weight or a real cell: an int or float that is not a bool.  Only
+# the error type and the MeasureSpace/PSchauderFrame constructors are taken
+# from framelab.
 
 
 def _legacy_decode_number(obj, what):
@@ -220,9 +222,11 @@ def _legacy_decode_scalar(obj, field):
     if field == "complex":
         if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
             raise FrameError("complex scalars must be [re, im] pairs")
+        if any(isinstance(part, bool) or not isinstance(part, (int, float)) for part in obj):
+            raise FrameError("complex scalar parts must be numbers")
         try:
             return complex(float(obj[0]), float(obj[1]))
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:
             raise FrameError("complex scalar parts must be numbers") from None
     return _legacy_decode_number(obj, "a real scalar")
 

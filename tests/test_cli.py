@@ -447,6 +447,44 @@ def test_check_accepts_vector_file(dft_files, tmp_path, capsys):
     assert json.loads(out)["supp_f"] == 2.0
 
 
+@pytest.mark.parametrize(
+    "command, sources, message",
+    [
+        ("check", [], "one of the arguments --x --x-file is required"),
+        ("check", ["--x", "1,0", "--x-file", "x.json"], "argument --x-file: not allowed with argument --x"),
+        ("sparse", [], "one of the arguments --target --target-file is required"),
+        ("sparse", ["--target", "1,0", "--target-file", "t.json"],
+         "argument --target-file: not allowed with argument --target"),
+    ],
+    ids=["check-neither", "check-both", "sparse-neither", "sparse-both"],
+)
+def test_missing_or_doubled_vector_source_is_a_usage_error(command, sources, message, capsys):
+    # the frame paths do not exist: the parser refuses before any file is read
+    frames = ["--frame-f", "/nonexistent/f.json", "--frame-g", "/nonexistent/g.json"]
+    if command == "sparse":
+        frames = ["--frame", "/nonexistent/f.json"]
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *frames, *sources])
+    assert excinfo.value.code == 1
+    assert capsys.readouterr() == ("", f"framelab {command}: error: {message} (see framelab {command} --help)\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "sparse"])
+def test_string_or_boolean_complex_part_in_a_file_is_one_line_domain_error(command, dft_files, tmp_path, capsys):
+    obj = json.loads(Path(dft_files[1]).read_text())
+    obj["atoms"][0]["vector"][0][0] = "1_0"
+    bad_frame = tmp_path / "bad.json"
+    bad_frame.write_text(json.dumps(obj))
+    bad_vector = tmp_path / "x.json"
+    bad_vector.write_text(json.dumps([[1.0, 0.0], [True, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+    argv = {
+        "validate": ["--frame", str(bad_frame)],
+        "check": ["--frame-f", dft_files[0], "--frame-g", dft_files[1], "--x-file", str(bad_vector)],
+        "sparse": ["--frame", dft_files[1], "--target-file", str(bad_vector)],
+    }[command]
+    assert run_cli(command, *argv, capsys=capsys) == (2, "", "error: complex scalar parts must be numbers\n")
+
+
 def test_check_complex_inline_tokens(dft_files, capsys):
     code, out, _ = run_cli(
         "check", "--frame-f", dft_files[0], "--frame-g", dft_files[1], "--x", "1:0,0:1,1:0,0:1", capsys=capsys
@@ -1272,6 +1310,11 @@ def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["written"] == [str(frame)]
     assert entry(["validate", "--frame", str(frame)]) == 0
     assert json.loads(capsys.readouterr().out)["passes"] is True
+    with pytest.raises(SystemExit) as excinfo:
+        entry(["check", "--frame-f", str(frame), "--frame-g", str(frame)])
+    assert excinfo.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
     big = [tmp_path / "h1.json", tmp_path / "h2.json"]
     for path in big:
         assert entry(["gen", "--kind", "harmonic", "--d", "32", "--N", "512", "--out", str(path)]) == 0

@@ -192,15 +192,18 @@ def test_complex_scalar_parts_must_be_numbers(scalar):
         frame_from_obj(obj)
 
 
-def test_numeric_string_complex_parts_still_load_to_the_same_bits():
-    from framelab import dft_pair
-
-    frame = dft_pair(2)[1]
-    obj = frame_to_obj(frame)
-    re, im = obj["atoms"][0]["vector"][0]
-    obj["atoms"][0]["vector"][0] = [repr(re), im]
-    back = frame_from_obj(obj)
-    assert back.vectors.tobytes() == frame.vectors.tobytes()
+@pytest.mark.parametrize(
+    "part", [True, "1.0", "1_0", " 1 ", "١"], ids=["true", "decimal-string", "underscore", "spaced", "arabic-indic"]
+)
+def test_non_number_complex_parts_are_refused(part):
+    # a complex part is read by the rule of a weight or a real cell, so a
+    # string that float() would read is refused, as is a boolean
+    obj = frame_to_obj(dft_pair(2)[1])
+    obj["atoms"][0]["vector"][0][0] = part
+    for read, args in ((frame_from_obj, (obj,)), (vector_from_obj, ([[1.0, 0.0], [0.0, part]], "complex"))):
+        with pytest.raises(FrameError) as excinfo:
+            read(*args)
+        assert str(excinfo.value) == "complex scalar parts must be numbers"
 
 
 # ------------------------------------------------ writer == json.dumps oracle
@@ -373,8 +376,8 @@ def test_writer_matches_oracle_on_repeated_and_signed_values(frame):
 # --------------------------------------- reader == frozen per-cell reader
 
 # Cells, complex parts and atoms that a hand-edited or corrupted file may
-# hold.  The numeric strings and ``true`` load as complex parts, since
-# ``float`` reads them.
+# hold.  The numeric strings and ``true`` are refused as complex parts, as
+# they are as weights and real cells.
 _BAD_CELLS = [True, False, "1.0", "x", None, 10**400, -(10**400), {}, [], [[1.0, 0.0]], [1.0], [1.0, 0.0, 0.0]]
 _PARTS = [True, "1.0", "1_0", " 1 ", "١", "nan", "1e999", "x", None, 10**400, [1.0], {}, 3]
 _NUMERIC_PARTS = [True, "1.0", "1_0", " 1 ", "١", "-0", 3]
@@ -429,7 +432,7 @@ def _fault_short(draw, row):
     del row[draw(st.integers(0, len(row) - 1)):]
 
 
-# loadable faults twice, so that about one frame object in seven still loads
+# the faults that may load twice, so that about one frame object in fifteen still loads
 _ROW_FAULTS = [_fault_cell, _fault_part, _fault_loadable, _fault_loadable, _fault_nest, _fault_pair_length, _fault_short]
 
 

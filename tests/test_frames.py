@@ -55,6 +55,15 @@ def test_measure_space_rejects_bad_weights():
         MeasureSpace(np.array([1.0, np.inf]))
 
 
+def test_measure_space_length_and_equality():
+    space = MeasureSpace([0.5, 1.0, 2.0])
+    assert len(space) == 3
+    assert space == MeasureSpace([0.5, 1.0, 2.0]) and space != MeasureSpace([0.5, 1.0, 1.0])
+    # another type defers to Python's fallback, which compares identity
+    assert space.__eq__([0.5, 1.0, 2.0]) is NotImplemented
+    assert (space == [0.5, 1.0, 2.0]) is False
+
+
 def test_measure_space_refuses_a_total_weight_that_overflows():
     # each weight is finite, but their sum is not a double
     with pytest.raises(FrameError, match="^the total weight overflows a double$"):

@@ -1111,3 +1111,20 @@ def test_sparse_problem_freezes_its_own_copy_of_the_target():
     assert target.flags.writeable and not problem.target.flags.writeable
     target[0] = 5.0
     assert problem.target.tolist() == [1.0, 2.0]
+
+
+def test_documented_constants_and_default_tolerance_keep_their_values():
+    # literal values, not the library's own names, so a changed default
+    # fails here even where an oracle reads the same constant
+    from framelab import frames
+
+    assert frames.SUPPORT_EPS == frames.CUE_TOLERANCE == frames.VALIDATION_TOL == 1e-9
+    assert frames.VALIDATION_GUARD == sparse.ENUMERATION_GUARD == 10**7
+    assert frames.EXTREMAL_BUDGET_GUARD == 10**6
+    assert sparse.PLAN_GUARD == sparse._PROBE_POOL_GUARD == 2**17
+    assert sparse._PROBE_TRIALS_GUARD == 10**4
+    tolerance = SparseProblem(mercedes_benz(), [3.0, 4.0]).resolved_tolerance()
+    assert tolerance == 1e-8 * 5.0
+    policy = conjecture_probe(mercedes_benz(), trials=1)["eps_residual_policy"]
+    assert policy == "1e-8 * l2(target) when eps_residual is null"
+    assert float(policy.split(" * ")[0]) * 5.0 == tolerance

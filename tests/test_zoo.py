@@ -178,6 +178,15 @@ def test_random_parseval_complex_field():
     assert validate_frame(frame, trials=200, tol=1e-10, rng_seed=1).passes
 
 
+def test_random_parseval_refuses_a_rank_deficient_draw(monkeypatch):
+    from framelab import zoo
+
+    # a table of ones: its columns are equal, so Gram-Schmidt leaves a null column
+    monkeypatch.setattr(zoo, "_gaussian", lambda rng, shape, field: np.ones(shape))
+    with pytest.raises(FrameError, match="^seeded matrix was numerically rank deficient$"):
+        random_parseval(2, 3)
+
+
 def test_random_parseval_needs_redundancy():
     with pytest.raises(FrameError):
         random_parseval(4, 3)
