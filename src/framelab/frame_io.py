@@ -105,10 +105,10 @@ def _screen(obj, field: str, what: str) -> np.ndarray:
         row = row.tolist()  # a row of the other field: its first cell is malformed
     elif not isinstance(row, list):
         raise FrameError(f"{what} must hold a JSON array")
-    return np.array([_cell(s, pairs) for s in row], np.float64).reshape((-1, 2) if pairs else -1)
+    return np.array([_decode_cell(s, pairs) for s in row], np.float64).reshape((-1, 2) if pairs else -1)
 
 
-def _cell(obj, pairs: bool):
+def _decode_cell(obj, pairs: bool):
     """A real cell as a double, or a complex one as its ``[re, im]`` doubles;
     every number in either is judged as ``_decode_number`` judges it."""
     if not pairs:
