@@ -129,19 +129,13 @@ def _spec_from_args(args) -> zoo.FrameSpec:
 
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
-    derived = "base" in zoo._KINDS[spec.kind][0]
-    base_frame = frame_io.load_frame(args.base) if args.base and derived else None
-    frames = zoo.build_frames(spec, base_frame)
+    base_frame = frame_io.load_frame(args.base) if args.base and spec.kind in zoo.DERIVED_KINDS else None
     out = Path(args.out)
-    if len(frames) == 1:
-        frame_io.save_frame(frames[0], out)
-        written = [str(out)]
-    else:
-        stem = out.with_suffix("") if out.suffix == ".json" else out
-        paths = [Path(f"{stem}_{suffix}.json") for suffix in zoo.PAIR_SUFFIXES]
-        for frame, path in zip(frames, paths):
-            frame_io.save_frame(frame, path)
-        written = [str(p) for p in paths]
+    stem = out.with_suffix("") if out.suffix == ".json" else out
+    named = zoo.named_frames(str(stem), spec, base_frame)
+    written = [str(out)] if len(named) == 1 else [f"{name}.json" for name, _ in named]
+    for (_, frame), path in zip(named, written):
+        frame_io.save_frame(frame, path)
     _emit({"schema_version": SCHEMA_VERSION, "written": written})
     return EXIT_OK
 
@@ -293,15 +287,15 @@ def _build_parser() -> _Parser:
     gen.add_argument("--d", type=int)
     gen.add_argument("--N", type=int)
     gen.add_argument("--n", type=int)
-    gen.add_argument("--p", type=float, default=2.0)
+    gen.add_argument("--p", type=float, default=zoo.FrameSpec.p)
     gen.add_argument("--seed", type=int, default=None)
-    gen.add_argument("--field", choices=[REAL, COMPLEX], default=REAL)
+    gen.add_argument("--field", choices=[REAL, COMPLEX], default=zoo.FrameSpec.field)
     gen.add_argument("--perm", help="comma-separated permutation of 0..d-1")
     gen.add_argument("--signs", help="comma-separated unimodular scalars (re:im for complex)")
-    gen.add_argument("--split-index", type=int, default=0)
-    gen.add_argument("--split-count", type=int, default=2)
+    gen.add_argument("--split-index", type=int, default=zoo.FrameSpec.split_index)
+    gen.add_argument("--split-count", type=int, default=zoo.FrameSpec.split_count)
     gen.add_argument("--normalize", action="store_true")
-    gen.add_argument("--scale", type=float, default=1.0)
+    gen.add_argument("--scale", type=float, default=zoo.FrameSpec.scale)
     gen.add_argument("--base", help="input frame file for alternate-dual / weighted-split")
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=cmd_gen)

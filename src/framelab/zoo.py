@@ -236,7 +236,7 @@ class FrameSpec:
 
 # Kind -> (FrameSpec fields it requires, constructor over (spec, base_frame)),
 # in catalogue order.  A constructor returns one frame or a pair; a kind that
-# requires ``base`` is derived from an input frame.
+# requires ``base`` (``DERIVED_KINDS``) is derived from an input frame.
 _KINDS = {
     "canonical_lp": (("d",), lambda s, b: canonical_lp(s.d, s.p, s.field)),
     "signed_permutation": (("d",), lambda s, b: signed_permutation(s.d, s.p, s.permutation, s.signs)),
@@ -248,6 +248,7 @@ _KINDS = {
     "mercedes_benz": ((), lambda s, b: mercedes_benz()),
 }
 FRAME_KINDS = tuple(_KINDS)
+DERIVED_KINDS = frozenset(kind for kind, (required, _) in _KINDS.items() if "base" in required)
 
 
 def build_frames(spec: FrameSpec, base_frame: PSchauderFrame | None = None) -> tuple[PSchauderFrame, ...]:
@@ -262,6 +263,16 @@ def build_frames(spec: FrameSpec, base_frame: PSchauderFrame | None = None) -> t
         base_frame = build_frames(spec.base)[0]
     frames = construct(spec, base_frame)
     return frames if isinstance(frames, tuple) else (frames,)
+
+
+def named_frames(
+    name: str, spec: FrameSpec, base_frame: PSchauderFrame | None = None
+) -> list[tuple[str, PSchauderFrame]]:
+    """``build_frames`` named ``name``, or ``name_<suffix>`` over ``PAIR_SUFFIXES`` for a pair."""
+    frames = build_frames(spec, base_frame)
+    if len(frames) == 1:
+        return [(name, frames[0])]
+    return [(f"{name}_{suffix}", frame) for suffix, frame in zip(PAIR_SUFFIXES, frames)]
 
 
 def default_specs() -> list[tuple[str, FrameSpec]]:
@@ -301,11 +312,4 @@ def default_specs() -> list[tuple[str, FrameSpec]]:
 
 def default_zoo() -> list[tuple[str, PSchauderFrame]]:
     """Catalog specs materialized to named frames (dft_pair yields two)."""
-    out: list[tuple[str, PSchauderFrame]] = []
-    for name, spec in default_specs():
-        frames = build_frames(spec)
-        if len(frames) == 1:
-            out.append((name, frames[0]))
-        else:
-            out.extend((f"{name}_{suffix}", frame) for suffix, frame in zip(PAIR_SUFFIXES, frames))
-    return out
+    return [named for name, spec in default_specs() for named in named_frames(name, spec)]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from framelab import (
+    FRAME_KINDS,
     VALIDATION_GUARD,
     FrameError,
     FrameSpec,
@@ -30,6 +31,7 @@ from framelab import (
     validate_frame,
     weighted_split,
 )
+from framelab.zoo import DERIVED_KINDS, named_frames
 
 ZOO = default_zoo()
 
@@ -461,6 +463,29 @@ def test_build_frames_derived_kind_takes_an_explicit_base():
     mb = mercedes_benz()
     (split,) = build_frames(FrameSpec("weighted_split"), mb)
     assert np.array_equal(split.space.weights, weighted_split(mb, 0, 2).space.weights)
+
+
+def test_named_frames_names_one_frame_and_each_frame_of_a_pair():
+    (single,) = named_frames("mb", FrameSpec("mercedes_benz"))
+    assert single[0] == "mb" and frame_digest(single[1]) == frame_digest(mercedes_benz())
+    pair = named_frames("dft", FrameSpec("dft_pair", d=3))
+    assert [name for name, _ in pair] == ["dft_canonical", "dft_transform"]
+    assert [frame_digest(f) for _, f in pair] == [frame_digest(f) for f in dft_pair(3)]
+    mb = mercedes_benz()
+    ((name, split),) = named_frames("split", FrameSpec("weighted_split"), mb)
+    assert name == "split" and frame_digest(split) == frame_digest(weighted_split(mb, 0, 2))
+
+
+def test_derived_kinds_are_the_kinds_that_need_a_base():
+    assert DERIVED_KINDS == {"alternate_dual", "weighted_split"}
+    needs_base = set()
+    for kind in FRAME_KINDS:
+        try:
+            build_frames(FrameSpec(kind))
+        except FrameError as exc:
+            if str(exc) == f"kind {kind!r} requires parameter 'base'":
+                needs_base.add(kind)
+    assert needs_base == DERIVED_KINDS
 
 
 def test_build_frames_refuses_an_empty_permutation():
