@@ -559,20 +559,15 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+def _gaussian(rng: np.random.Generator, shape, field: str, unit: bool = False) -> np.ndarray:
     """Standard normal entries; for a complex field, ``re + 1j*im`` with
-    every real part drawn before the imaginary parts (unnormalized)."""
+    every real part drawn before the imaginary parts, divided by sqrt(2)
+    (standard complex normal) when ``unit`` is set."""
     if field == COMPLEX:
         re = rng.standard_normal(shape)
-        return re + 1j * rng.standard_normal(shape)
+        z = re + 1j * rng.standard_normal(shape)
+        return z / np.sqrt(2.0) if unit else z
     return rng.standard_normal(shape)
-
-
-def _standard_normal(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    """``_gaussian`` entries; complex ones scaled to standard complex normal
-    ``(re + 1j*im)/sqrt(2)``."""
-    z = _gaussian(rng, shape, field)
-    return z / np.sqrt(2.0) if field == COMPLEX else z
 
 
 def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0) -> np.ndarray:
@@ -584,7 +579,7 @@ def random_vectors(dimension: int, count: int, field: str = REAL, seed: int = 0)
     for name, value in (("dimension", dimension), ("count", count)):
         if value < 0:
             raise FrameError(f"{name} must be nonnegative, got {value}")
-    return _standard_normal(_seeded_rng(seed), (count, dimension), field)
+    return _gaussian(_seeded_rng(seed), (count, dimension), field, unit=True)
 
 
 def _row_sums(term, rows: int, cols: int) -> np.ndarray:
@@ -675,21 +670,22 @@ EXTREMAL_BUDGET_GUARD = 1_000_000
 EXTREMAL_CHUNK = 256
 
 
-def _extremal_candidates(frame_g: PSchauderFrame, cap: int, rng: np.random.Generator, draws: int):
+def _extremal_candidates(frame_g: PSchauderFrame, cap: int, seed: int, draws: int):
     """``(support, coefficients)`` pairs of equal-length sequences in
     ``extremal_search`` order: every support of 1..cap atoms, lexicographic
-    within a cardinality, with all coefficients 1, then ``draws`` seeded
-    random supports with standard (complex) normal coefficients, drawn row
-    by row."""
+    within a cardinality, with all coefficients 1, then ``draws`` random
+    supports with standard (complex) normal coefficients, drawn row by row
+    from ``seed``'s generator, which is built only when the draws start."""
     n = frame_g.n_atoms
     for card in range(1, cap + 1):
         ones = (1.0,) * card
         for supp in itertools.combinations(range(n), card):
             yield supp, ones
+    rng = _seeded_rng(seed)
     for _ in range(draws):
         card = int(rng.integers(1, cap + 1))
         supp = np.sort(rng.choice(n, size=card, replace=False))
-        yield supp, _standard_normal(rng, card, frame_g.field)
+        yield supp, _gaussian(rng, card, frame_g.field, unit=True)
 
 
 def extremal_search(
@@ -736,8 +732,10 @@ def extremal_search(
         raise FrameError("max_card must be at least 1")
     _check_table_guard(min(EXTREMAL_CHUNK, budget), max(frame_f.n_atoms, n, frame_g.dimension))
     _check_table_guard(frame_f.n_atoms, n)
+    if seed < 0:
+        _seeded_rng(seed)  # refuses it here, though the draws may never start
 
-    candidates = _extremal_candidates(frame_g, cap, _seeded_rng(seed), 10 * budget)
+    candidates = _extremal_candidates(frame_g, cap, seed, 10 * budget)
     dtype = frame_g.vectors.dtype
     inv_p, inv_q = 1.0 / frame_f.p, 1.0 / frame_f.q
     best: UncertaintyReport | None = None

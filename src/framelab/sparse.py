@@ -43,8 +43,8 @@ from .frames import (
     _as_input_vector,
     _check_table_guard,
     _check_tolerance,
+    _gaussian,
     _seeded_rng,
-    _standard_normal,
     synthesis,
 )
 
@@ -77,6 +77,9 @@ _PROBE_TRIALS_GUARD = 10_000
 # near 38 MiB, within the scale ``PLAN_GUARD`` admits.
 _PROBE_POOL_GUARD = 1 << 17
 
+# Default eps_residual per unit of the target's 2-norm, as the probe report spells it.
+_EPS_RESIDUAL_FACTOR = "1e-8"
+
 SOLVED = "solved"
 INFEASIBLE = "infeasible"
 
@@ -84,7 +87,7 @@ INFEASIBLE = "infeasible"
 @dataclass(frozen=True, eq=False)
 class SparseProblem:
     """Recover coefficients reproducing ``target`` through the frame's weighted
-    synthesis.  ``eps_residual`` defaults to 1e-8 * ``norm``, the target's 2-norm."""
+    synthesis.  ``eps_residual`` defaults to ``_EPS_RESIDUAL_FACTOR`` * ``norm``, the target's 2-norm."""
 
     frame: PSchauderFrame
     target: np.ndarray
@@ -108,7 +111,7 @@ class SparseProblem:
     def resolved_tolerance(self) -> float:
         if self.eps_residual is not None:
             return float(self.eps_residual)
-        return 1e-8 * self.norm
+        return float(_EPS_RESIDUAL_FACTOR) * self.norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -705,7 +708,7 @@ def conjecture_probe(
     for t in range(trials if pool else 0):
         support = pool[int(rng.integers(len(pool)))]
         values = np.zeros(n, dtype=frame.vectors.dtype)
-        values[list(support)] = _standard_normal(rng, len(support), frame.field)
+        values[list(support)] = _gaussian(rng, len(support), frame.field, unit=True)
         target = synthesis(frame, CoefficientFunction(frame.space, values))
         solution = _walk(SparseProblem(frame, target, eps_residual), tree)
         weight = frame.space.measure(list(support))
@@ -728,7 +731,7 @@ def conjecture_probe(
         "seed": int(seed),
         "trials_requested": int(trials),
         "eps_residual": eps_residual,
-        "eps_residual_policy": "1e-8 * l2(target) when eps_residual is null",
+        "eps_residual_policy": f"{_EPS_RESIDUAL_FACTOR} * l2(target) when eps_residual is null",
         "coherence_all_pairs": coh_all,
         "coherence_distinct_vectors": coh_distinct,
         "threshold_all_pairs": json_number(thr_all),

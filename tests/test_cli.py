@@ -1329,3 +1329,10 @@ def test_console_script_target_runs_the_ci_entry_point_commands(tmp_path, capsys
     assert json.loads(capsys.readouterr().out)["written"] == [str(wide)]
     assert entry(["coherence", "--frame", str(wide)]) == 4
     assert capsys.readouterr() == ("", "resource guard: 4000 x 4000 = 16000000 scalars exceeds guard 10000000\n")
+    pair = [tmp_path / "dft16_canonical.json", tmp_path / "dft16_transform.json"]
+    assert entry(["gen", "--kind", "dft", "--d", "16", "--out", str(tmp_path / "dft16.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["written"] == [str(path) for path in pair]
+    assert all(path.is_file() for path in pair)
+    argv = ["extremal", "--frame-f", str(pair[0]), "--frame-g", str(pair[1]), "--budget", "200"]
+    assert entry(argv) == 0
+    assert json.loads(capsys.readouterr().out)["candidates_evaluated"] == 200

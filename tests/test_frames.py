@@ -1,9 +1,12 @@
 import dataclasses
 import gc
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -872,6 +875,25 @@ def test_extremal_skips_zero_candidates_uncounted():
         extremal_search(zero_atoms, zero_atoms, budget=3)
 
 
+def test_extremal_search_imports_numpy_random_only_when_its_draws_start():
+    # dft16's 200 candidates are all all-ones patterns; dft4 has 15, so 185
+    # of its 200 are random draws
+    script = (
+        "import sys\n"
+        "from framelab import dft_pair, extremal_search\n"
+        "extremal_search(*dft_pair(16), budget=200)\n"
+        "print('numpy.random' in sys.modules)\n"
+        "extremal_search(*dft_pair(4), budget=200)\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={"PYTHONPATH": str(src)}
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
 def _extremal_error_cases():
     real2, real3 = canonical_lp(4, 2.0), canonical_lp(4, 3.0)
     complex2 = dft_pair(4)[1]
@@ -901,6 +923,8 @@ def _extremal_error_cases():
          (ResourceGuardError, f"budget {frames.EXTREMAL_BUDGET_GUARD + 1} exceeds guard "
                               f"{frames.EXTREMAL_BUDGET_GUARD}")),
         ("max-card-0", (real2, real2), {"max_card": 0}, (FrameError, "max_card must be at least 1")),
+        # refused although the budget ends before the first random draw
+        ("seed-negative", (real2, real2), {"seed": -1}, (FrameError, "seed must be nonnegative, got -1")),
     ]
     # a chunk of min(256, budget) candidates over 40,000 atoms of either
     # frame is refused, after max_card
@@ -911,6 +935,7 @@ def _extremal_error_cases():
         ("chunk-guard/swapped", (wide, one), {"budget": 1000}, chunk),
         ("chunk-guard/max-card-0", (one, wide), {"budget": 1000, "max_card": 0},
          (FrameError, "max_card must be at least 1")),
+        ("chunk-guard/seed-negative", (one, wide), {"budget": 1000, "seed": -1}, chunk),
     ]
     half = PSchauderFrame(counting_measure(2), 2.0, [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]])
     other_half = PSchauderFrame(counting_measure(2), 2.0, [[0.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]])
@@ -919,6 +944,8 @@ def _extremal_error_cases():
     cases += [
         ("degenerate", (half, other_half), {}, degenerate),
         ("degenerate/swapped", (other_half, half), {}, degenerate),
+        ("degenerate/seed-negative", (half, other_half), {"seed": -1},
+         (FrameError, "seed must be nonnegative, got -1")),
         ("zero-atoms", (canonical_lp(2, 2.0), zero_atoms), {},
          (FrameError, "no nonzero candidate vector could be synthesized")),
         # the pair is checked before any candidate is drawn
