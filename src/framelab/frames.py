@@ -289,28 +289,28 @@ def synthesis(frame: PSchauderFrame, coeffs: CoefficientFunction) -> np.ndarray:
     return (frame.space.weights * coeffs.values) @ frame.vectors
 
 
+def _measure_support(space: MeasureSpace, mags: np.ndarray, eps: float) -> float:
+    """The support rule on one vector of coefficient magnitudes: the measure
+    of the atoms with ``mags[j] > eps * peak``.  The peak is read at
+    ``argmax``, which costs less than ``max`` and gives the same value: NaN
+    if any magnitude is NaN (``argmax`` stops at the first one), else the
+    largest.  A non-finite peak (a non-finite coefficient, or finite complex
+    parts whose modulus overflows) is refused; a peak of 0 keeps no atom."""
+    peak = mags[mags.argmax()]
+    if not math.isfinite(peak):
+        raise FrameError("coefficients must be finite (no NaN/Inf)")
+    return space.measure(mags > eps * peak)
+
+
 def _support(frame: PSchauderFrame, xv: np.ndarray, eps: float) -> float:
     """Support measure of the analysis image of one validated vector x.
 
-    The atoms with ``|c_j| > eps * max_j |c_j|`` are kept; a peak of 0 keeps
-    none and measures 0.0.  x = 0 gives the peak 0 exactly, so only then is
-    x itself tested and refused.  The peak is read at ``argmax``, which
-    costs less than ``max`` and gives the same value: NaN if any magnitude
-    is NaN (``argmax`` stops at the first one), else the largest.  A finite
-    peak means finite coefficients; a non-finite one can also come from
-    finite complex parts whose ``abs`` overflows, so only then does the
-    exact check run.
+    x = 0 measures 0.0, so only then is x itself tested and refused.
     """
-    coeffs = frame.functionals @ xv
-    mags = np.abs(coeffs)
-    peak = mags[mags.argmax()]
-    if peak == 0.0:
-        if not xv.any():
-            raise FrameError("theorem excludes x = 0")
-        return 0.0
-    if not math.isfinite(peak):
-        _finite_or_raise(coeffs, "coefficients")
-    return frame.space.measure(mags > eps * peak)
+    supp = _measure_support(frame.space, np.abs(frame.functionals @ xv), eps)
+    if supp == 0.0 and not xv.any():
+        raise FrameError("theorem excludes x = 0")
+    return supp
 
 
 def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> list[float]:
@@ -327,11 +327,9 @@ def _support_measures(frame: PSchauderFrame, rows: np.ndarray, eps: float) -> li
     weights = frame.space.weights
     # One stacked matrix-vector product per row: the same bits as
     # ``frame.functionals @ x`` for each row (a gemm would not be).
-    coeffs = np.matmul(frame.functionals, rows[..., None])[..., 0]
-    mags = np.abs(coeffs)
+    mags = np.abs(np.matmul(frame.functionals, rows[..., None])[..., 0])
     peaks = mags.max(axis=1, keepdims=True)
-    if not np.isfinite(peaks).all():
-        _finite_or_raise(coeffs, "coefficients")
+    _finite_or_raise(peaks, "coefficients")  # as ``_measure_support`` refuses each peak
     masks = mags > eps * peaks
     w = weights[0]
     if (weights == w).all():
@@ -347,14 +345,14 @@ def support_measure(coeffs: CoefficientFunction, eps: float = SUPPORT_EPS) -> fl
     """Total weight of atoms whose coefficient magnitude exceeds
     ``eps * max_j |c_j|``.  The threshold is relative, which makes the result
     invariant under scaling the whole coefficient function; an identically
-    zero function has support measure 0.
+    zero function has support measure 0, and a coefficient whose modulus
+    overflows is refused.
 
     Weights are totalled by ``MeasureSpace.measure``, so atom splits whose
     parts sum exactly to the original weight leave the result bit-identical.
     """
     _check_tolerance("eps", eps)
-    mags = np.abs(coeffs.values)
-    return coeffs.space.measure(mags > eps * mags[mags.argmax()])
+    return _measure_support(coeffs.space, np.abs(coeffs.values), eps)
 
 
 def _same_space(frame_f: PSchauderFrame, frame_g: PSchauderFrame) -> None:
@@ -498,8 +496,8 @@ def uncertainty_check(
     finite entries (half the cost of ``.all()``, and before any product, so
     a non-finite x is refused without a warning), two matrix-vector
     products, and per frame one ``abs``, one ``argmax``, one mask and one
-    ``fsum``: x = 0 is tested only when a peak is 0 or a pair or eps check
-    fails.
+    ``fsum``: x = 0 is tested only when a support measures 0.0 or a pair
+    or eps check fails.
     """
     _same_exponent(frame_f, frame_g)
     xv = _as_input_vector(frame_f, x)

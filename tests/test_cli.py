@@ -372,6 +372,26 @@ def test_coherence_with_an_overflowing_atom_norm_prints_no_warning(tmp_path, cap
     assert json.loads(out)["gram_coherence"] == 1.7e308
 
 
+@pytest.mark.parametrize(
+    "command,extra", [("check", ["--x", "1,1"]), ("extremal", ["--budget", "3"])], ids=["check", "extremal"]
+)
+def test_a_coefficient_modulus_that_overflows_is_one_line_domain_error(command, extra, tmp_path, capsys):
+    from framelab import PSchauderFrame, canonical_lp, counting_measure
+
+    # finite pairings, but f's coefficient of x = (1, 1) is 1.7e308 (1 + i),
+    # whose modulus overflows: measured as 0 it would read as a violation
+    frame_f = PSchauderFrame(counting_measure(2), 2.0, [[1.7e308, 1.7e308j], [0, 1]], np.eye(2), "complex")
+    save_frame(frame_f, tmp_path / "f.json")
+    save_frame(canonical_lp(2, 2.0, "complex"), tmp_path / "g.json")
+    argv = [command, "--frame-f", str(tmp_path / "f.json"), "--frame-g", str(tmp_path / "g.json"), *extra]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(*argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: coefficients must be finite (no NaN/Inf)\n"
+
+
 # ---------------------------------------------------------------- check
 
 
